@@ -26,6 +26,8 @@ __all__ = [
     "reduce",
     "in_span",
     "reduce_mod",
+    "echelon",
+    "ascending_span",
     "twisted_kernel",
     "extend_basis",
     "coset_space",
@@ -91,9 +93,6 @@ class F2Basis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.rows)
 
@@ -135,8 +134,54 @@ def reduce_mod(v: int, basis: F2Basis) -> int:
 
 
 def in_span(v: int, basis: F2Basis) -> bool:
-    """Whether ``v`` lies in the span; safe for non-canonical bases."""
-    return reduce((*basis.rows, v), basis.n).dim == reduce(basis.rows, basis.n).dim
+    """Whether ``v`` lies in the span; safe for non-canonical bases.
+
+    The rows must be independent, as every F2Basis's are, so ``basis.dim``
+    is the rank that adding ``v`` would raise.
+    """
+    return reduce((*basis.rows, v), basis.n).dim == basis.dim
+
+
+def echelon(rows: Iterable[int]) -> tuple[int, ...]:
+    """Fully reduced top-bit echelon basis of span(rows), ascending.
+
+    Highest set bits are distinct and no row contains another row's highest
+    bit.  For such rows b_0 < ... < b_{m-1}, the map c -> XOR of the b_i
+    selected by the binary digits of c is increasing, so the span in
+    ascending order is the image of 0, 1, 2, ..., and the smallest vector
+    of the span outside a subspace of it is the first b_t outside that
+    subspace.  Cost O(m^2) row operations for m rows.
+    """
+    out: list[int] = []
+    for v in rows:
+        for r in out:
+            if (v >> (r.bit_length() - 1)) & 1:
+                v ^= r
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            out = [r ^ v if r & top else r for r in out]
+            out.append(v)
+    return tuple(sorted(out))
+
+
+def ascending_span(rows: Iterable[int]) -> Iterator[int]:
+    """Lazily yield span(rows) in increasing order; see :func:`echelon`.
+
+    Stepping from c - 1 to c flips bits 0..t, t the lowest set bit of c, so
+    each vector is the previous one XOR a precomputed prefix b_0 ^ ... ^ b_t:
+    O(1) per vector, and taking the first j vectors costs O(m^2 + j).
+    """
+    basis = echelon(rows)
+    prefix: list[int] = []
+    acc = 0
+    for b in basis:
+        acc ^= b
+        prefix.append(acc)
+    v = 0
+    yield v
+    for c in range(1, 1 << len(basis)):
+        v ^= prefix[(c ^ (c - 1)).bit_length() - 1]
+        yield v
 
 
 def twisted_kernel(generators: Sequence[int], n: int) -> F2Basis:
@@ -275,8 +320,13 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Extend independent, mutually twisted-orthogonal vectors to a
     Lagrangian (dimension-n isotropic) basis.
 
-    The input rows come first, then the smallest admissible vector at each
-    step, so the completion is deterministic.
+    The input rows come first.  Each added vector is the smallest nonzero
+    vector (as an int) that is twisted-orthogonal to every row so far and
+    outside their span, so the completion is deterministic.  By the
+    ordering fact in :func:`echelon` that vector is the first row of the
+    kernel's top-bit echelon basis outside the current span, so each step
+    costs O(n^2) row operations rather than a scan of the 2^(2n-len)
+    kernel vectors.
     """
     out = list(rows)
     base = reduce(out, n)
@@ -291,7 +341,7 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
                 )
     while len(out) < n:
         kernel = twisted_kernel(out, n)
-        v = min(c for c in kernel.span() if c and reduce_mod(c, base))
+        v = next(r for r in echelon(kernel.rows) if reduce_mod(r, base))
         out.append(v)
         base = reduce(out, n)
     return tuple(out)
@@ -336,7 +386,6 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
             if (row >> (width + l)) & 1:
                 u |= 1 << p
         partners.append(u)
-    swaps = [swap_halves(r, n) for r in rows]
     for i in range(n):
         sw_i = swap_halves(partners[i], n)
         for j in range(i + 1, n):

@@ -233,19 +233,20 @@ def _commuting_anticlique_candidate(
     """Anticlique candidate for commuting noise.
 
     Extends the span of the noise check vectors to a Lagrangian L, picks
-    the smallest vector w in L missing from the difference set (one exists
-    whenever the maximal case failed), and takes the symplectic partners
-    of a basis of L that has w last.  Every difference vector then either
-    anticommutes with some partner or is zero, so the candidate compresses
-    the noise to scalars.
+    the smallest vector w (as an int) in L missing from the difference set
+    (one exists whenever the maximal case failed), and takes the symplectic
+    partners of a basis of L that has w last.  Every difference vector then
+    either anticommutes with some partner or is zero, so the candidate
+    compresses the noise to scalars.  L is walked in ascending order
+    without being built, so finding w takes at most |diffs| + 1 steps, not
+    the 2^n of the whole Lagrangian.
     """
     lag = f2.complete_lagrangian(f2.reduce(checks, n).rows, n)
-    missing = [v for v in sorted(f2.F2Basis(n, lag).span()) if v not in diffs]
-    if not missing:
+    w = next((v for v in f2.ascending_span(lag) if v not in diffs), None)
+    if w is None:
         raise RuntimeError(
             "commuting noise fills a Lagrangian but was not caught as maximal"
         )
-    w = missing[0]
     ordered = f2.extend_basis(f2.reduce([w], n), lag).rows
     partners = f2.symplectic_partners((*ordered[1:], w), n)
     return _group_from_rows(partners[:-1], n)

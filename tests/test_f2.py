@@ -289,6 +289,53 @@ class TestLagrangianCompletion:
         with pytest.raises(ValueError, match="not isotropic"):
             f2.complete_lagrangian([vec("1", "0"), vec("0", "1")], 1)
 
+    def test_matches_smallest_admissible_by_brute_force(self):
+        # the definition, step by step: the smallest nonzero kernel vector
+        # outside the span so far, found by scanning the whole kernel span
+        rng = random.Random(41)
+        for n in range(1, 6):
+            for d in range(n + 1):
+                for _ in range(4):
+                    start = _random_isotropic_rows(rng, n, d)
+                    expected = list(start)
+                    while len(expected) < n:
+                        kernel = f2.twisted_kernel(expected, n)
+                        base = f2.reduce(expected, n)
+                        expected.append(
+                            min(c for c in kernel.span() if c and not f2.in_span(c, base))
+                        )
+                    assert f2.complete_lagrangian(start, n) == tuple(expected)
+
+
+class TestEchelon:
+    def test_top_bit_form(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randrange(1, 5)
+            vecs = [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(0, 7))]
+            rows = f2.echelon(vecs)
+            tops = [r.bit_length() - 1 for r in rows]
+            assert list(rows) == sorted(rows) and 0 not in rows
+            assert tops == sorted(set(tops))
+            for i, r in enumerate(rows):
+                for j, t in enumerate(tops):
+                    if i != j:
+                        assert not (r >> t) & 1
+            assert f2.reduce(rows, n) == f2.reduce(vecs, n)
+
+    def test_ascending_span_matches_sorted_span(self):
+        rng = random.Random(47)
+        for n in range(1, 6):
+            for d in range(n + 1):
+                for _ in range(4):
+                    rows = _random_isotropic_rows(rng, n, d)
+                    expected = sorted(f2.F2Basis(n, tuple(rows)).span())
+                    assert list(f2.ascending_span(rows)) == expected
+
+    def test_ascending_span_of_dependent_rows(self):
+        assert list(f2.ascending_span([3, 5, 6])) == [0, 3, 5, 6]
+        assert list(f2.ascending_span([])) == [0]
+
 
 class TestSymplecticPartners:
     def test_z_gets_x(self):

@@ -283,6 +283,37 @@ class TestClassify:
             ramsey.classify(channel.from_noise([identity(5)]))
         assert ramsey.classify(channel.from_noise([identity(5)]), limit=5).tag
 
+    def test_large_n_noncommuting_noise_constructive_clique(self):
+        # identity plus 32 weight-1/2 Paulis on 16 qubits; the identity
+        # guarantees the constructive clique, so nothing is enumerated
+        n = 16
+        letters = (1, 1 << n, (1 << n) | 1)  # X, Z, Y on qubit 0
+        low_weight = [a << q for q in range(n) for a in letters] + [
+            (a << q) | (b << r)
+            for q, r in combinations(range(n), 2)
+            for a in letters
+            for b in letters
+        ]
+        noise = [0, *random.Random(53).sample(low_weight, 2 * n)]
+        ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+        result = ramsey.classify(ch, limit=n)
+        assert result.tag == "Clique"
+        assert result.examined == 0
+        assert ramsey.is_clique(ch, result.witness)
+
+    def test_large_n_commuting_noise_constructive_anticlique(self):
+        # identity plus Z on each qubit, on 16 qubits
+        n = 16
+        ops = [identity(n)] + [
+            parse("I" * q + "Z" + "I" * (n - q - 1)) for q in range(n)
+        ]
+        ch = channel.from_noise(ops, n=n)
+        result = ramsey.classify(ch, limit=n)
+        assert result.tag == "Anticlique"
+        assert result.examined == 0
+        assert result.witness.k >= 1
+        assert ramsey.gottesman_correctable(ch, result.witness)
+
     def test_json_shape(self):
         doc = ramsey.classify(make_channel("II", "XI", "ZI")).to_json_dict()
         assert doc == {

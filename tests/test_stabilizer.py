@@ -292,6 +292,13 @@ class TestExtendToMaximal:
         group = stabilizer.from_string("ZI,IZ")
         assert tuple(stabilizer.extend_to_maximal(group)) == group.generators
 
+    def test_empty_group_at_24_qubits_is_x_on_each_qubit(self):
+        n = 24
+        full = stabilizer.extend_to_maximal(stabilizer.validate([], n=n))
+        assert [str(g) for g in full] == [
+            "I" * q + "X" + "I" * (n - q - 1) for q in range(n)
+        ]
+
     def test_postconditions(self):
         rng = random.Random(37)
         for _ in range(40):
