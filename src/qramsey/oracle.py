@@ -64,6 +64,11 @@ def _quotient_stack(ch: PauliChannel, limit: int) -> np.ndarray:
     return prods.reshape(-1, *prods.shape[2:])
 
 
+def _compress(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Every P Q P for Q in the stack, as batched matrix products."""
+    return p @ stack @ p
+
+
 def _gram_rank(stack: np.ndarray, tolerance: float) -> GramRankResult:
     flat = stack.reshape(stack.shape[0], -1)
     gram = flat.conj() @ flat.T
@@ -82,8 +87,7 @@ def dense_compressed_dimension(
     """Rank of the Gram matrix of {P E_i^+ E_j P} under Tr(A^+ B)."""
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    p = _projector(group)
-    compressed = np.einsum("ab,qbc,cd->qad", p, _quotient_stack(ch, limit), p)
+    compressed = _compress(_projector(group), _quotient_stack(ch, limit))
     return _gram_rank(compressed, tolerance)
 
 
@@ -110,7 +114,12 @@ def kl_check(
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
     p = _projector(group)
-    compressed = np.einsum("ab,qbc,cd->qad", p, _quotient_stack(ch, limit), p)
+    return _scalar_compressions(p, _compress(p, _quotient_stack(ch, limit)), tolerance)
+
+
+def _scalar_compressions(
+    p: np.ndarray, compressed: np.ndarray, tolerance: float
+) -> bool:
     trace_p = np.trace(p).real
     for mat in compressed:
         c = np.trace(mat) / trace_p
@@ -118,15 +127,6 @@ def kl_check(
         if residual > tolerance * max(1.0, np.linalg.norm(mat)):
             return False
     return True
-
-
-def _maximal_scalars_nonzero(
-    ch: PauliChannel, group: StabilizerGroup, limit: int, tolerance: float
-) -> bool:
-    p = _projector(group)
-    compressed = np.einsum("ab,qbc,cd->qad", p, _quotient_stack(ch, limit), p)
-    trace_p = np.trace(p).real
-    return all(abs(np.trace(mat) / trace_p) > tolerance for mat in compressed)
 
 
 def dense_maximal_check(
@@ -148,11 +148,15 @@ def dense_maximal_check(
         raise ValueError(
             f"group has {group.num_generators} generators, need {group.n} for maximal"
         )
-    if dense_graph_dimension(ch, limit, tolerance).rank != 1 << ch.n:
+    stack = _quotient_stack(ch, limit)
+    if _gram_rank(stack, tolerance).rank != 1 << ch.n:
         return False
-    if not kl_check(ch, group, limit):
+    p = _projector(group)
+    compressed = _compress(p, stack)
+    if not _scalar_compressions(p, compressed, SCALAR_TOLERANCE):
         return False
-    return _maximal_scalars_nonzero(ch, group, limit, SCALAR_TOLERANCE)
+    trace_p = np.trace(p).real
+    return all(abs(np.trace(mat) / trace_p) > SCALAR_TOLERANCE for mat in compressed)
 
 
 def private_witness_check(

@@ -13,12 +13,11 @@ the maximum 2^{2k} (the noise algebra fills the compressed picture).
 
 `classify` realizes the trichotomy: either W is exactly the check-vector
 set of a maximal stabilizer group, or a nontrivial anticlique or clique
-witness exists.  The constructive candidates come first (they are the
-interesting mathematical content); every candidate is verified, and a
-failed candidate triggers an exhaustive fallback over all isotropic
-subspaces rather than being trusted.  An `Inconsistent` answer therefore
-means the exhaustive search really found nothing, which would be a
-counterexample worth reporting, not a bug to hide.
+witness exists.  The witness is built by the constructive proof, which is
+complete and polynomial in n, and then verified rather than trusted.  An
+`Inconsistent` answer therefore means a constructed candidate failed its
+verification, which would be a counterexample worth reporting, not a bug
+to hide.
 """
 
 from __future__ import annotations
@@ -161,11 +160,11 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
     return True
 
 
-# -- fast candidate machinery for the exhaustive loops ----------------------
+# -- fast candidate machinery for the exhaustive search ---------------------
 #
-# search and the classify fallback test every isotropic subspace against
-# every difference vector, so the per-candidate data (commutation masks and
-# pivot-reduction rows) is precomputed once per (n, d) and reused.
+# search tests every isotropic subspace against every difference vector, so
+# the per-candidate data (commutation masks and pivot-reduction rows) is
+# precomputed once per (n, d) and reused.
 
 
 class _Subspace(NamedTuple):
@@ -230,16 +229,16 @@ def _maximal_rows(diffs: frozenset[int], n: int) -> tuple[int, ...] | None:
 def _commuting_anticlique_candidate(
     checks: list[int], diffs: frozenset[int], n: int
 ) -> StabilizerGroup:
-    """Anticlique candidate for commuting noise.
+    """Anticlique candidate for check vectors that commute pairwise.
 
-    Extends the span of the noise check vectors to a Lagrangian L, picks
-    the smallest vector w (as an int) in L missing from the difference set
-    (one exists whenever the maximal case failed), and takes the symplectic
-    partners of a basis of L that has w last.  Every difference vector then
-    either anticommutes with some partner or is zero, so the candidate
-    compresses the noise to scalars.  L is walked in ascending order
-    without being built, so finding w takes at most |diffs| + 1 steps, not
-    the 2^n of the whole Lagrangian.
+    Extends the span of the check vectors, which holds every difference,
+    to a Lagrangian L, picks the smallest vector w (as an int) in L missing
+    from the difference set (one exists whenever the maximal case failed),
+    and takes the symplectic partners of a basis of L that has w last.
+    Every difference vector then either anticommutes with some partner or
+    is zero, so the candidate compresses the noise to scalars.  L is walked
+    in ascending order without being built, so finding w takes at most
+    |diffs| + 1 steps, not the 2^n of the whole Lagrangian.
     """
     lag = f2.complete_lagrangian(f2.reduce(checks, n).rows, n)
     w = next((v for v in f2.ascending_span(lag) if v not in diffs), None)
@@ -258,8 +257,9 @@ def _noncommuting_clique_candidate(checks: list[int], n: int) -> StabilizerGroup
     Completes the first anticommuting check vector h to a Lagrangian and
     repairs each later basis vector that anticommutes with its partner g
     by adding h; the repaired rows generate the candidate.  The candidate
-    is only guaranteed when r(h) and r(g) themselves lie in the difference
-    set, so the caller must verify it.
+    is guaranteed when h and g themselves lie in the difference set, which
+    holds when ``checks`` contains 0: then h = h ^ 0 and g = g ^ 0 are
+    differences.  ``classify`` shifts the checks so that it does.
     """
     pair = next(
         (
@@ -336,46 +336,25 @@ def search(
     )
 
 
-def _fallback_search(
-    ch: PauliChannel, diffs: frozenset[int], n: int
-) -> tuple[ClassificationResult | None, int]:
-    """Exhaustive fallback: anticliques first, then cliques, k ascending."""
-    sorted_diffs = tuple(sorted(diffs))
-    examined = 0
-    for kind in ("anticlique", "clique"):
-        for k in range(1, n + 1):
-            target = 1 if kind == "anticlique" else 1 << (2 * k)
-            for sub in _candidates(n, n - k):
-                examined += 1
-                if _coset_count_fast(sorted_diffs, sub, target) == target:
-                    group = _group_from_rows(sub.rows, n)
-                    if compressed_dimension(ch, group) != target:
-                        raise RuntimeError(
-                            "fast search and compressed_dimension disagree on "
-                            f"{group} - this is a bug, please report it"
-                        )
-                    tag = "Anticlique" if kind == "anticlique" else "Clique"
-                    return (
-                        ClassificationResult(tag, group, target, examined),
-                        examined,
-                    )
-    return None, examined
-
-
-def classify(ch: PauliChannel, limit: int = SEARCH_QUBIT_LIMIT) -> ClassificationResult:
+def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult:
     """Trichotomy: maximal stabilizer channel, anticlique, or clique.
 
     The decision follows the structure of the underlying theorem: if the
     difference set is exactly a Lagrangian, the channel's noise algebra is
-    that of a maximal stabilizer mixture.  Otherwise a constructive
-    candidate is built (anticlique when the noise operators all commute,
-    clique when two of them anticommute) and verified; if verification
-    fails, an exhaustive search runs, preferring anticliques.  A verified
-    witness always comes back unless the search space is truly empty, in
-    which case the result is Inconsistent and carries a diagnostic.
+    that of a maximal stabilizer mixture.  Otherwise every check vector is
+    shifted by the smallest one, c -> c ^ checks[0].  The difference set is
+    unchanged, and the shifted checks contain 0, so each of them is itself
+    a difference.  If the shifted checks commute, their span holds the
+    whole difference set and the anticlique construction applies; if not,
+    their first anticommuting pair lies in the difference set and the
+    clique construction applies.  Either way the candidate is verified; a
+    candidate that fails is answered with Inconsistent and a diagnostic,
+    since it would contradict the theorem.  Every step is polynomial in n
+    and the number of noise operators, so ``limit`` (a qubit cap that
+    raises CapacityError) is off by default.
     """
     n = ch.n
-    if n > limit:
+    if limit is not None and n > limit:
         raise CapacityError(f"classification limited to {limit} qubits, got {n}")
     diffs = difference_set(ch)
     rows = _maximal_rows(diffs, n)
@@ -385,30 +364,27 @@ def classify(ch: PauliChannel, limit: int = SEARCH_QUBIT_LIMIT) -> Classificatio
             "MaximalStabilizerChannel", group, compressed_dimension(ch, group), 0
         )
     checks = sorted({op.check_vector() for op in ch.operators})
-    commuting = all(
-        f2.twisted_dot(a, b, n) == 0 for a, b in combinations(checks, 2)
-    )
-    if commuting:
-        candidate = _commuting_anticlique_candidate(checks, diffs, n)
+    shifted = sorted(c ^ checks[0] for c in checks)
+    if all(f2.twisted_dot(a, b, n) == 0 for a, b in combinations(shifted, 2)):
+        candidate = _commuting_anticlique_candidate(shifted, diffs, n)
         if is_anticlique(ch, candidate):
             return ClassificationResult("Anticlique", candidate, 1, 0)
+        kind = "anticlique"
     else:
-        candidate = _noncommuting_clique_candidate(checks, n)
+        candidate = _noncommuting_clique_candidate(shifted, n)
         if is_clique(ch, candidate):
             return ClassificationResult(
                 "Clique", candidate, 1 << (2 * candidate.k), 0
             )
-    result, examined = _fallback_search(ch, diffs, n)
-    if result is not None:
-        return result
+        kind = "clique"
     return ClassificationResult(
         "Inconsistent",
         None,
         None,
-        examined,
+        0,
         diagnostic=(
-            "no verified witness over any k in 1..%d for noise {%s}; "
+            "constructed %s candidate %s failed verification for noise {%s}; "
             "this contradicts the trichotomy and is a reportable finding"
-            % (n, ", ".join(str(op) for op in ch.operators))
+            % (kind, candidate, ", ".join(str(op) for op in ch.operators))
         ),
     )

@@ -13,6 +13,7 @@ against exhaustive search, and theorem statements against enumeration.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -414,54 +415,53 @@ def check_private_codes(
     )
 
 
-CRITERIA: tuple[tuple[int, str], ...] = (
-    (1, "check_pauli_algebra"),
-    (2, "check_centralizer_dimension"),
-    (3, "check_oracle_equivalence"),
-    (4, "check_main_theorem"),
-    (5, "check_trichotomy"),
-    (6, "check_correctability_equivalence"),
-    (7, "check_sign_invariance"),
-    (8, "check_completion_lemmas"),
-    (9, "check_private_codes"),
+CRITERIA: tuple[tuple[int, Callable[..., CheckResult]], ...] = (
+    (1, check_pauli_algebra),
+    (2, check_centralizer_dimension),
+    (3, check_oracle_equivalence),
+    (4, check_main_theorem),
+    (5, check_trichotomy),
+    (6, check_correctability_equivalence),
+    (7, check_sign_invariance),
+    (8, check_completion_lemmas),
+    (9, check_private_codes),
 )
+
+
+def _plan(exhaustive: bool, seed: int, cap: int) -> dict[Callable, dict]:
+    """Keyword arguments per criterion: acceptance strength or quick."""
+    if exhaustive:
+        return {
+            check_pauli_algebra: dict(seed=seed, max_n=min(3, cap)),
+            check_centralizer_dimension: dict(max_n=min(3, cap)),
+            check_oracle_equivalence: dict(seed=seed),
+            check_main_theorem: dict(seed=seed),
+            check_trichotomy: dict(seed=seed),
+            check_correctability_equivalence: dict(),
+            check_sign_invariance: dict(seed=seed),
+            check_completion_lemmas: dict(seed=seed),
+            check_private_codes: dict(seed=seed),
+        }
+    return {
+        check_pauli_algebra: dict(pairs=100, seed=seed, max_n=min(3, cap)),
+        check_centralizer_dimension: dict(max_n=min(3, cap)),
+        check_oracle_equivalence: dict(
+            seed=seed, max_subset_size=2, n3_cases=20 if cap >= 3 else 0
+        ),
+        check_main_theorem: dict(seed=seed, n3_cases=3 if cap >= 3 else 0),
+        check_trichotomy: dict(seed=seed, mask_sample=1500),
+        check_correctability_equivalence: dict(max_subset_size=2),
+        check_sign_invariance: dict(cases=15, seed=seed),
+        check_completion_lemmas: dict(cases=25, seed=seed),
+        check_private_codes: dict(
+            samples=25, seed=seed, subsample=0.05, mask_sample=1500
+        ),
+    }
 
 
 def run(
     exhaustive: bool = False, seed: int = 0, max_n: int | None = None
 ) -> list[tuple[int, CheckResult]]:
     """Run all criteria; quick parameters unless ``exhaustive``."""
-    cap = max_n if max_n is not None else 4
-    if exhaustive:
-        plan = {
-            "check_pauli_algebra": dict(seed=seed, max_n=min(3, cap)),
-            "check_centralizer_dimension": dict(max_n=min(3, cap)),
-            "check_oracle_equivalence": dict(seed=seed),
-            "check_main_theorem": dict(seed=seed),
-            "check_trichotomy": dict(seed=seed),
-            "check_correctability_equivalence": dict(),
-            "check_sign_invariance": dict(seed=seed),
-            "check_completion_lemmas": dict(seed=seed),
-            "check_private_codes": dict(seed=seed),
-        }
-    else:
-        plan = {
-            "check_pauli_algebra": dict(pairs=100, seed=seed, max_n=min(3, cap)),
-            "check_centralizer_dimension": dict(max_n=min(3, cap)),
-            "check_oracle_equivalence": dict(
-                seed=seed, max_subset_size=2, n3_cases=20 if cap >= 3 else 0
-            ),
-            "check_main_theorem": dict(seed=seed, n3_cases=3 if cap >= 3 else 0),
-            "check_trichotomy": dict(seed=seed, mask_sample=1500),
-            "check_correctability_equivalence": dict(max_subset_size=2),
-            "check_sign_invariance": dict(cases=15, seed=seed),
-            "check_completion_lemmas": dict(cases=25, seed=seed),
-            "check_private_codes": dict(
-                samples=25, seed=seed, subsample=0.05, mask_sample=1500
-            ),
-        }
-    out = []
-    for number, name in CRITERIA:
-        func = globals()[name]
-        out.append((number, func(**plan[name])))
-    return out
+    plan = _plan(exhaustive, seed, max_n if max_n is not None else 4)
+    return [(number, check(**plan[check])) for number, check in CRITERIA]

@@ -126,6 +126,17 @@ class TestClassify:
         assert code == 2
         assert "rejects the Clique witness" in json.loads(out)["detail"]
 
+    def test_six_qubit_maximal_channel(self, capsys, tmp_path):
+        path = str(tmp_path / "m6.json")
+        assert cli.main(["construct-maximal", "--n", "6", "-o", path]) == 0
+        capsys.readouterr()
+        code, out, _ = invoke(capsys, "classify", "--channel", path)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "MaximalStabilizerChannel"
+        code, _, err = invoke(capsys, "classify", "--channel", path, "--oracle")
+        assert code == 1
+        assert "dense oracle limited to 4 qubits" in err
+
     def test_text_rendering(self, capsys, tmp_path):
         path = write_channel(tmp_path, ["II", "XI", "ZI"])
         code, out, _ = invoke(capsys, "classify", "--channel", path, "--text")

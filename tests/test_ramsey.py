@@ -228,13 +228,13 @@ class TestClassify:
         assert result.dim_pgp == 4
         assert result.examined == 0
 
-    def test_anticlique_via_fallback(self):
-        # the clique candidate fails (no identity in the noise), so the
-        # exhaustive fallback runs and finds an anticlique
+    def test_anticlique_without_identity_is_constructive(self):
+        # XI and ZI anticommute, but shifted by XI the checks are {II, YI},
+        # which commute, so the anticlique construction applies directly
         ch = make_channel("XI", "ZI")
         result = ramsey.classify(ch)
         assert result.tag == "Anticlique"
-        assert result.examined > 0
+        assert result.examined == 0
         assert ramsey.is_anticlique(ch, result.witness)
         assert oracle.dense_compressed_dimension(ch, result.witness).rank == 1
 
@@ -279,9 +279,35 @@ class TestClassify:
         assert rebuilt == result.witness
 
     def test_capacity_limit(self):
+        ch = channel.from_noise([identity(5)])
+        assert ramsey.classify(ch).tag == "Anticlique"
         with pytest.raises(CapacityError):
-            ramsey.classify(channel.from_noise([identity(5)]))
-        assert ramsey.classify(channel.from_noise([identity(5)]), limit=5).tag
+            ramsey.classify(ch, limit=4)
+
+    def test_noncommuting_noise_without_identity_at_n6(self):
+        # no identity in the noise, and the clique candidate built from the
+        # unshifted checks fails: only the shifted construction succeeds
+        n = 6
+        vectors = random.Random(2).sample(range(1, 1 << (2 * n)), 4)
+        checks = sorted(vectors)
+        assert any(f2.twisted_dot(a, b, n) for a, b in combinations(checks, 2))
+        ch = channel.from_noise([hermitian_rep(v, n) for v in vectors], n=n)
+        unshifted = ramsey._noncommuting_clique_candidate(checks, n)
+        assert not ramsey.is_clique(ch, unshifted)
+        result = ramsey.classify(ch)
+        assert result.tag == "Clique"
+        assert result.examined == 0
+        assert result.witness.k >= 1
+        assert ramsey.is_clique(ch, result.witness)
+
+    def test_failed_candidate_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(ramsey, "is_clique", lambda ch, group: False)
+        result = ramsey.classify(make_channel("II", "XI", "ZI"))
+        assert result.tag == "Inconsistent"
+        assert result.witness is None
+        assert result.examined == 0
+        assert "clique candidate IX" in result.diagnostic
+        assert "{II, XI, ZI}" in result.diagnostic
 
     def test_large_n_noncommuting_noise_constructive_clique(self):
         # identity plus 32 weight-1/2 Paulis on 16 qubits; the identity
@@ -326,6 +352,23 @@ class TestClassify:
 
 class TestConstructionInternals:
     """The two proof procedures, checked on their own postconditions."""
+
+    def test_fast_coset_count_matches_compressed_dimension(self):
+        # search counts cosets with its own inlined loop; it must agree with
+        # compressed_dimension on every candidate of every k, not only on
+        # the witnesses it reports
+        rng = random.Random(29)
+        cases = [(2, FULL_P2), (2, MAXIMAL_X)]
+        cases += [(2, random_channel(rng, 2, 8)) for _ in range(40)]
+        cases += [(3, random_channel(rng, 3, 8)) for _ in range(5)]
+        for n, ch in cases:
+            diffs = tuple(sorted(channel.difference_set(ch)))
+            for k in range(1, n + 1):
+                for sub in ramsey._candidates(n, n - k):
+                    group = ramsey._group_from_rows(sub.rows, n)
+                    assert ramsey._coset_count_fast(
+                        diffs, sub, 1 << (2 * k)
+                    ) == ramsey.compressed_dimension(ch, group)
 
     def test_commuting_candidates_verify(self):
         rng = random.Random(17)
