@@ -22,9 +22,11 @@ to hide.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
+
+import numpy as np
 
 from . import f2
 from .channel import PauliChannel, difference_set
@@ -160,51 +162,89 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
     return True
 
 
-# -- fast candidate machinery for the exhaustive search ---------------------
+# -- batched candidate machinery for the exhaustive search ------------------
 #
-# search tests every isotropic subspace against every difference vector, so
-# the per-candidate data (commutation masks and pivot-reduction rows) is
-# precomputed once per (n, d) and reused.
+# search tests every isotropic subspace against every difference vector.
+# The per-candidate data (basis rows, their pivots and their swapped halves,
+# which are the commutation masks) is stored once per (n, d) as uint64
+# arrays, so one numpy pass per k counts the cosets of all candidates.  A
+# candidate's stabilizer group is built and validated on its first witness
+# and then kept, so each group is validated once per process.
+
+# elements per chunk of the batched coset count; bounds its temporaries
+_CHUNK_ELEMENTS = 1 << 16
 
 
-class _Subspace(NamedTuple):
-    rows: tuple[int, ...]
-    pivots: tuple[int, ...]
-    swaps: tuple[int, ...]
+@dataclass(eq=False, slots=True)
+class _Candidates:
+    n: int
+    row_tuples: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+    pivots: np.ndarray
+    swaps: np.ndarray
+    groups: list[StabilizerGroup | None]
+
+    def __len__(self) -> int:
+        return len(self.row_tuples)
+
+    def group(self, i: int) -> StabilizerGroup:
+        g = self.groups[i]
+        if g is None:
+            g = self.groups[i] = _group_from_rows(self.row_tuples[i], self.n)
+        return g
 
 
-_SUBSPACE_CACHE: dict[tuple[int, int], tuple[_Subspace, ...]] = {}
+_SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
 
 
-def _candidates(n: int, d: int) -> tuple[_Subspace, ...]:
+def _candidates(n: int, d: int) -> _Candidates:
     key = (n, d)
     if key not in _SUBSPACE_CACHE:
-        _SUBSPACE_CACHE[key] = tuple(
-            _Subspace(
-                basis.rows,
-                tuple((r & -r).bit_length() - 1 for r in basis.rows),
-                tuple(f2.swap_halves(r, n) for r in basis.rows),
-            )
-            for basis in f2.enumerate_isotropic(n, d)
+        row_tuples = tuple(basis.rows for basis in f2.enumerate_isotropic(n, d))
+        rows = np.array(row_tuples, dtype=np.uint64).reshape(len(row_tuples), d)
+        lowest_bit = rows & (~rows + 1)
+        _SUBSPACE_CACHE[key] = _Candidates(
+            n,
+            row_tuples,
+            rows,
+            np.bitwise_count(lowest_bit - 1).astype(np.uint64),
+            f2.swap_halves(rows, n),
+            [None] * len(row_tuples),
         )
     return _SUBSPACE_CACHE[key]
 
 
-def _coset_count_fast(diffs: tuple[int, ...], sub: _Subspace, cap: int) -> int:
-    # same quantity as compressed_dimension, inlined; early exit past cap
-    seen: set[int] = set()
-    for v in diffs:
-        for s in sub.swaps:
-            if (v & s).bit_count() & 1:
-                break
-        else:
-            for r, p in zip(sub.rows, sub.pivots):
-                if (v >> p) & 1:
-                    v ^= r
-            seen.add(v)
-            if len(seen) > cap:
-                return len(seen)
-    return len(seen)
+def _coset_counts(diffs: Sequence[int], cands: _Candidates) -> np.ndarray:
+    """compressed_dimension of every candidate at once, in candidate order.
+
+    A difference v hits a candidate when it commutes with every row, that
+    is when the parity of bitwise_count(v & swap) is even for every swapped
+    row.  That parity is tabulated once for every possible swapped row, so
+    a candidate's hit mask costs one lookup per row.  Only the hits are
+    reduced by the pivot rows in order, and the distinct representatives
+    are counted by marking them in a boolean row of width 2^{2n} per
+    candidate.
+    """
+    v0 = np.asarray(diffs, dtype=np.uint64)
+    width = 1 << (2 * cands.n)
+    every = np.arange(width, dtype=np.uint64)
+    commutes = (np.bitwise_count(every[:, None] & v0) & 1) == 0
+    step = max(1, _CHUNK_ELEMENTS // width)
+    counts = np.empty(len(cands), dtype=np.int64)
+    for lo in range(0, len(cands), step):
+        hi = min(lo + step, len(cands))
+        rows, pivots, swaps = cands.rows[lo:hi], cands.pivots[lo:hi], cands.swaps[lo:hi]
+        hit = np.ones((hi - lo, v0.size), dtype=bool)
+        for s in swaps.T:
+            hit &= commutes[s]
+        c, i = np.divmod(np.flatnonzero(hit), v0.size)
+        v = v0[i]
+        for r, p in zip(rows.T, pivots.T):
+            v ^= ((v >> p[c]) & 1) * r[c]
+        marks = np.zeros((hi - lo, width), dtype=bool)
+        marks[c, v] = True
+        counts[lo:hi] = np.count_nonzero(marks, axis=1)
+    return counts
 
 
 def _group_from_rows(rows: tuple[int, ...], n: int) -> StabilizerGroup:
@@ -290,10 +330,12 @@ def search(
 ) -> SearchReport:
     """Enumerate every nontrivial stabilizer code and record all witnesses.
 
-    For each requested k the search walks all (n-k)-dimensional isotropic
-    subspaces in canonical order, instantiates the plus-signed group, and
-    tests the requested verdict(s).  Exhaustive and deterministic; signs
-    never matter to the verdicts.
+    For each requested k the compressed dimension of every (n-k)-dimensional
+    isotropic subspace is counted in one batched pass, and the witnesses
+    are reported in canonical subspace order with the plus-signed group.
+    A candidate's group is built and validated on its first witness and
+    reused by later searches in the same process.  Exhaustive and
+    deterministic; signs never matter to the verdicts.
     """
     if mode not in ("anticlique", "clique", "both"):
         raise ValueError(f"mode must be anticlique, clique or both, got {mode!r}")
@@ -309,23 +351,23 @@ def search(
         bad = [k for k in ks if k < 1 or k > n]
         if bad:
             raise ValueError(f"k must lie in 1..{n}, got {bad[0]}")
-    diffs = tuple(sorted(difference_set(ch)))
+    diffs = np.array(sorted(difference_set(ch)), dtype=np.uint64)
     witnesses: list[SearchWitness] = []
     examined: list[tuple[int, int]] = []
     for k in ks:
         cands = _candidates(n, n - k)
         examined.append((k, len(cands)))
         full = 1 << (2 * k)
-        for sub in cands:
-            count = _coset_count_fast(diffs, sub, full)
-            if count == 1 and mode in ("anticlique", "both"):
-                witnesses.append(
-                    SearchWitness(k, "anticlique", _group_from_rows(sub.rows, n), count)
-                )
-            if count == full and mode in ("clique", "both"):
-                witnesses.append(
-                    SearchWitness(k, "clique", _group_from_rows(sub.rows, n), count)
-                )
+        counts = _coset_counts(diffs, cands)
+        wanted = np.zeros(len(cands), dtype=bool)
+        if mode != "clique":
+            wanted |= counts == 1
+        if mode != "anticlique":
+            wanted |= counts == full
+        hits = np.flatnonzero(wanted)
+        for i, count in zip(hits.tolist(), counts[hits].tolist()):
+            kind = "anticlique" if count == 1 else "clique"
+            witnesses.append(SearchWitness(k, kind, cands.group(i), count))
     return SearchReport(
         n,
         tuple(str(op) for op in ch.operators),

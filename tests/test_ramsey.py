@@ -353,22 +353,59 @@ class TestClassify:
 class TestConstructionInternals:
     """The two proof procedures, checked on their own postconditions."""
 
-    def test_fast_coset_count_matches_compressed_dimension(self):
-        # search counts cosets with its own inlined loop; it must agree with
-        # compressed_dimension on every candidate of every k, not only on
-        # the witnesses it reports
+    def test_batched_coset_counts_match_compressed_dimension(self, monkeypatch):
+        # search counts cosets for all candidates at once; it must agree
+        # with compressed_dimension on every candidate of every k, not only
+        # on the witnesses it reports.  Small chunks put chunk boundaries
+        # inside the candidate arrays and inside the single-candidate d=0 case.
         rng = random.Random(29)
         cases = [(2, FULL_P2), (2, MAXIMAL_X)]
         cases += [(2, random_channel(rng, 2, 8)) for _ in range(40)]
         cases += [(3, random_channel(rng, 3, 8)) for _ in range(5)]
-        for n, ch in cases:
-            diffs = tuple(sorted(channel.difference_set(ch)))
+        expected = {}
+        for c, (n, ch) in enumerate(cases):
             for k in range(1, n + 1):
-                for sub in ramsey._candidates(n, n - k):
-                    group = ramsey._group_from_rows(sub.rows, n)
-                    assert ramsey._coset_count_fast(
-                        diffs, sub, 1 << (2 * k)
-                    ) == ramsey.compressed_dimension(ch, group)
+                cands = ramsey._candidates(n, n - k)
+                expected[c, k] = [
+                    ramsey.compressed_dimension(ch, ramsey._group_from_rows(rows, n))
+                    for rows in cands.row_tuples
+                ]
+        for chunk in (ramsey._CHUNK_ELEMENTS, 1, 37):
+            monkeypatch.setattr(ramsey, "_CHUNK_ELEMENTS", chunk)
+            for c, (n, ch) in enumerate(cases):
+                diffs = tuple(sorted(channel.difference_set(ch)))
+                for k in range(1, n + 1):
+                    counts = ramsey._coset_counts(diffs, ramsey._candidates(n, n - k))
+                    assert counts.tolist() == expected[c, k], (chunk, n, k)
+
+    def test_witness_groups_are_validated_once(self, monkeypatch):
+        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+        calls = []
+        real_validate = ramsey.validate
+
+        def counting_validate(*args, **kwargs):
+            calls.append(args)
+            return real_validate(*args, **kwargs)
+
+        monkeypatch.setattr(ramsey, "validate", counting_validate)
+        ch = make_channel("III", "XII", "ZII", "IYI", "IIZ")
+        first = ramsey.search(ch, mode="both")
+        built = len(calls)
+        assert built > 0
+        second = ramsey.search(ch, mode="both")
+        assert len(calls) == built
+        assert second == first
+        assert first.witnesses
+        n = 3
+        memoized = 0
+        for d in range(n):
+            cands = ramsey._candidates(n, d)
+            for rows, group in zip(cands.row_tuples, cands.groups):
+                if group is not None:
+                    ops = [hermitian_rep(v, n) for v in rows]
+                    assert group == stabilizer.validate(ops, n=n)
+                    memoized += 1
+        assert memoized == built
 
     def test_commuting_candidates_verify(self):
         rng = random.Random(17)
