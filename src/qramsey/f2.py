@@ -8,14 +8,19 @@ vector" always means smallest as an int).
 
 The twisted dot product u * v = <a,d> + <b,c> (mod 2), for u = a|b and
 v = c|d, vanishes exactly when the Pauli operators with check vectors u
-and v commute.  Everything in this module is pure and allocation-light;
-these routines sit in the hot loop of the subspace searches.
+and v commute.  The routines on single vectors and bases are pure and
+allocation-light, since they sit on every classify and verify call.
+:func:`enumerate_isotropic` alone works on numpy arrays: it builds each
+level of its orderly generation as one uint64 array in chunked passes,
+and yields plain-int bases from it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "F2Basis",
@@ -277,43 +282,83 @@ def coset_count(hits: Iterable[int], cs: CosetSpace) -> int:
     return len(seen)
 
 
+# elements per chunk of enumerate_isotropic's level pass; bounds its temporaries
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _lowest_bits(a: np.ndarray) -> np.ndarray:
+    return a & (~a + np.uint64(1))
+
+
+def _isotropic_children(parents: np.ndarray, n: int) -> np.ndarray:
+    """Every child (*P, v) of the parent rows P, lexicographically sorted.
+
+    ``parents`` holds one canonical isotropic basis per row, sorted.  A
+    child's v is nonzero, has its pivot above P's last pivot q and clear
+    in every row of P, and is twisted-orthogonal to every row of P.  Parents are grouped by q, whose candidates are the nonzero
+    multiples of 2^(q+1) below 2^(2n); each chunk of a group masks its
+    candidates in one pass.
+    """
+    count, d = parents.shape
+    if d:
+        last = _lowest_bits(parents[:, -1]) - np.uint64(1)
+        last_pivot = np.bitwise_count(last).astype(np.int64)
+    else:
+        last_pivot = np.full(count, -1, dtype=np.int64)
+    union = np.bitwise_or.reduce(parents, axis=1)
+    swaps = swap_halves(parents, n)
+    parent_index: list[np.ndarray] = []
+    new_rows: list[np.ndarray] = []
+    for q in range(-1, 2 * n - 1):
+        group = np.flatnonzero(last_pivot == q)
+        if not group.size:
+            continue
+        cands = np.arange(1, 1 << (2 * n - q - 1), dtype=np.uint64) << np.uint64(q + 1)
+        low = _lowest_bits(cands)
+        step = max(1, _CHUNK_ELEMENTS // cands.size)
+        for lo in range(0, group.size, step):
+            idx = group[lo : lo + step]
+            ok = (union[idx, None] & low) == 0
+            for s in swaps[idx].T:
+                ok &= (np.bitwise_count(s[:, None] & cands) & 1) == 0
+            i, j = np.nonzero(ok)
+            parent_index.append(idx[i])
+            new_rows.append(cands[j])
+    pi = np.concatenate(parent_index)
+    v = np.concatenate(new_rows)
+    # parents are sorted, so (parent index, v) orders the children as tuples
+    order = np.lexsort((v, pi))
+    return np.column_stack((parents[pi[order]], v[order]))
+
+
 def enumerate_isotropic(n: int, d: int) -> Iterator[F2Basis]:
     """All d-dimensional totally isotropic subspaces of F_2^{2n}.
 
     Each subspace is emitted exactly once, as its canonical basis, in
-    sorted order.  Depth is extended one vector at a time: candidates are
-    drawn from the twisted kernel of the current rows, restricted to
-    canonical coset representatives so each parent-child edge is visited
-    once; duplicates arising from multiple parents are removed by keeping
-    the canonical form only.
+    sorted order.  The generation is orderly: the canonical parent of a
+    d-space is the span of the first d-1 rows of its canonical basis, and
+    each level is built only from the edges parent -> child that respect
+    that rule.  Appending v to a canonical basis P gives a canonical basis
+    exactly when v is nonzero, its pivot lies above P's last pivot and
+    every row of P has that pivot bit clear (v is then already clear at
+    P's pivots, having no bits below its own); it stays isotropic exactly
+    when v is twisted-orthogonal to every row of P.  A d-space thus
+    appears once, from its one canonical parent, and no set is needed.
+    Levels are held as sorted uint64 arrays of shape (count, d), so the
+    children of a parent follow the parent's order and, within one
+    parent, v's order; that is the order of the sorted row tuples.
     """
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
     if d < 0 or d > n:
         raise ValueError(f"isotropic dimension must be in 0..{n}, got {d}")
-    current: set[tuple[int, ...]] = {()}
+    level = np.zeros((1, 0), dtype=np.uint64)
     for _ in range(d):
-        nxt: set[tuple[int, ...]] = set()
-        for rows in current:
-            pivot_mask = 0
-            for r in rows:
-                pivot_mask |= 1 << _pivot(r)
-            kernel = twisted_kernel(rows, n)
-            for v in kernel.span():
-                if v and not (v & pivot_mask):
-                    # v is reduced mod rows and nonzero, hence outside the span
-                    p = _pivot(v)
-                    new_rows = tuple(
-                        sorted(
-                            ((r ^ v if (r >> p) & 1 else r) for r in rows),
-                            key=_pivot,
-                        )
-                    )
-                    merged = sorted((*new_rows, v), key=_pivot)
-                    nxt.add(tuple(merged))
-        current = nxt
-    for rows in sorted(current):
-        yield F2Basis(n, rows)
+        level = _isotropic_children(level, n)
+    step = max(1, _CHUNK_ELEMENTS // max(d, 1))
+    for lo in range(0, len(level), step):
+        for rows in level[lo : lo + step].tolist():
+            yield F2Basis(n, tuple(rows))
 
 
 def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:

@@ -165,11 +165,13 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
 # -- batched candidate machinery for the exhaustive search ------------------
 #
 # search tests every isotropic subspace against every difference vector.
-# The per-candidate data (basis rows, their pivots and their swapped halves,
-# which are the commutation masks) is stored once per (n, d) as uint64
-# arrays, so one numpy pass per k counts the cosets of all candidates.  A
-# candidate's stabilizer group is built and validated on its first witness
-# and then kept, so each group is validated once per process.
+# f2.enumerate_isotropic generates the candidates of one (n, d) once each,
+# in canonical order; their data (basis rows, their pivots and their
+# swapped halves, which are the commutation masks) is stored once per
+# (n, d) as uint64 arrays, and only as arrays, so one numpy pass per k
+# counts the cosets of all candidates.  A candidate's stabilizer group is
+# built from its array row and validated on its first witness and then
+# kept, so each group is validated once per process.
 
 # elements per chunk of the batched coset count; bounds its temporaries
 _CHUNK_ELEMENTS = 1 << 16
@@ -178,19 +180,18 @@ _CHUNK_ELEMENTS = 1 << 16
 @dataclass(eq=False, slots=True)
 class _Candidates:
     n: int
-    row_tuples: tuple[tuple[int, ...], ...]
     rows: np.ndarray
     pivots: np.ndarray
     swaps: np.ndarray
     groups: list[StabilizerGroup | None]
 
     def __len__(self) -> int:
-        return len(self.row_tuples)
+        return len(self.rows)
 
     def group(self, i: int) -> StabilizerGroup:
         g = self.groups[i]
         if g is None:
-            g = self.groups[i] = _group_from_rows(self.row_tuples[i], self.n)
+            g = self.groups[i] = _group_from_rows(tuple(self.rows[i].tolist()), self.n)
         return g
 
 
@@ -200,16 +201,15 @@ _SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
 def _candidates(n: int, d: int) -> _Candidates:
     key = (n, d)
     if key not in _SUBSPACE_CACHE:
-        row_tuples = tuple(basis.rows for basis in f2.enumerate_isotropic(n, d))
-        rows = np.array(row_tuples, dtype=np.uint64).reshape(len(row_tuples), d)
+        row_list = [basis.rows for basis in f2.enumerate_isotropic(n, d)]
+        rows = np.array(row_list, dtype=np.uint64).reshape(len(row_list), d)
         lowest_bit = rows & (~rows + 1)
         _SUBSPACE_CACHE[key] = _Candidates(
             n,
-            row_tuples,
             rows,
             np.bitwise_count(lowest_bit - 1).astype(np.uint64),
             f2.swap_halves(rows, n),
-            [None] * len(row_tuples),
+            [None] * len(row_list),
         )
     return _SUBSPACE_CACHE[key]
 

@@ -42,6 +42,36 @@ def is_isotropic(rows: tuple[int, ...], n: int) -> bool:
     )
 
 
+def isotropic_count(n: int, d: int) -> int:
+    """Closed form: prod_{i<d} (4^(n-i) - 1) / (2^(i+1) - 1)."""
+    num = den = 1
+    for i in range(d):
+        num *= 4 ** (n - i) - 1
+        den *= 2 ** (i + 1) - 1
+    return num // den
+
+
+def reference_isotropic(n: int, d: int) -> list[tuple[int, ...]]:
+    """Independent reference for enumerate_isotropic's output and order.
+
+    Extends every (d-1)-space by every nonzero vector of its twisted
+    kernel that is clear at the parent's pivots, re-reduces the child,
+    removes duplicates in a set and sorts the row tuples.
+    """
+    current: set[tuple[int, ...]] = {()}
+    for _ in range(d):
+        nxt: set[tuple[int, ...]] = set()
+        for rows in current:
+            pivot_mask = 0
+            for r in rows:
+                pivot_mask |= r & -r
+            for v in f2.twisted_kernel(rows, n).span():
+                if v and not (v & pivot_mask):
+                    nxt.add(f2.reduce((*rows, v), n).rows)
+        current = nxt
+    return sorted(current)
+
+
 class TestTwistedDot:
     def test_anticommuting_x_z(self):
         # n=1: X against Z
@@ -243,12 +273,42 @@ class TestEnumerateIsotropic:
     def test_zero_dimension(self):
         assert [b.rows for b in f2.enumerate_isotropic(1, 0)] == [()]
 
+    def test_counts_match_closed_form(self):
+        cases = [(n, d) for n in range(1, 5) for d in range(n + 1)]
+        cases += [(5, d) for d in range(3)]
+        for n, d in cases:
+            count = sum(1 for _ in f2.enumerate_isotropic(n, d))
+            assert count == isotropic_count(n, d), (n, d)
+
+    def test_sequence_matches_reference(self):
+        # search reports witnesses in this order, so the order is pinned
+        for n in range(1, 4):
+            for d in range(n + 1):
+                ours = [b.rows for b in f2.enumerate_isotropic(n, d)]
+                assert ours == reference_isotropic(n, d), (n, d)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # small chunks put chunk boundaries inside every parent group and
+        # inside the output pass, down to one parent per chunk
+        expected = {
+            (n, d): reference_isotropic(n, d)
+            for n in range(1, 4)
+            for d in range(n + 1)
+        }
+        expected[4, 2] = [b.rows for b in f2.enumerate_isotropic(4, 2)]
+        for chunk in (1, 37):
+            monkeypatch.setattr(f2, "_CHUNK_ELEMENTS", chunk)
+            for (n, d), rows in expected.items():
+                ours = [b.rows for b in f2.enumerate_isotropic(n, d)]
+                assert ours == rows, (chunk, n, d)
+
     def test_all_emitted_isotropic_and_canonical(self):
-        for d in range(4):
-            for b in f2.enumerate_isotropic(3, d):
-                assert b.dim == d
-                assert is_isotropic(b.rows, 3)
-                assert f2.reduce(b.rows, 3).rows == b.rows
+        for n in (3, 4):
+            for d in range(n + 1):
+                for b in f2.enumerate_isotropic(n, d):
+                    assert b.dim == d
+                    assert is_isotropic(b.rows, n)
+                    assert f2.reduce(b.rows, n).rows == b.rows
 
     def test_deterministic_order(self):
         first = [b.rows for b in f2.enumerate_isotropic(3, 2)]

@@ -367,8 +367,10 @@ class TestConstructionInternals:
             for k in range(1, n + 1):
                 cands = ramsey._candidates(n, n - k)
                 expected[c, k] = [
-                    ramsey.compressed_dimension(ch, ramsey._group_from_rows(rows, n))
-                    for rows in cands.row_tuples
+                    ramsey.compressed_dimension(
+                        ch, ramsey._group_from_rows(tuple(rows), n)
+                    )
+                    for rows in cands.rows.tolist()
                 ]
         for chunk in (ramsey._CHUNK_ELEMENTS, 1, 37):
             monkeypatch.setattr(ramsey, "_CHUNK_ELEMENTS", chunk)
@@ -400,7 +402,7 @@ class TestConstructionInternals:
         memoized = 0
         for d in range(n):
             cands = ramsey._candidates(n, d)
-            for rows, group in zip(cands.row_tuples, cands.groups):
+            for rows, group in zip(cands.rows.tolist(), cands.groups):
                 if group is not None:
                     ops = [hermitian_rep(v, n) for v in rows]
                     assert group == stabilizer.validate(ops, n=n)
