@@ -290,6 +290,9 @@ def _selftest_text(doc: dict) -> str:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    if args.n is not None and args.n < 1:
+        print("error: --n must be a positive integer", file=sys.stderr)
+        return 1
     results = selftest.run(exhaustive=args.exhaustive, seed=args.seed, max_n=args.n)
     doc = {
         "passed": all(res.passed for _, res in results),

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "F2Basis",
-    "CosetSpace",
     "twisted_dot",
     "swap_halves",
     "format_vector",
@@ -35,7 +34,6 @@ __all__ = [
     "ascending_span",
     "twisted_kernel",
     "extend_basis",
-    "coset_space",
     "coset_count",
     "enumerate_isotropic",
     "complete_lagrangian",
@@ -239,47 +237,13 @@ def extend_basis(partial: F2Basis, candidates: Iterable[int]) -> F2Basis:
     return F2Basis(n, tuple(rows))
 
 
-@dataclass(frozen=True, slots=True)
-class CosetSpace:
-    """Bookkeeping for cosets of span(sub) inside span(sub) + span(ext).
+def coset_count(hits: Iterable[int], sub: F2Basis) -> int:
+    """Number of distinct cosets of span(sub) represented among ``hits``.
 
-    ``sub`` is canonical; ``ext`` extends it to the full space and every
-    ext vector is twisted-orthogonal to every sub vector; ``full`` is the
-    canonical basis of the union, used for membership checks.
+    ``sub`` must be canonical (reduce() output), so that :func:`reduce_mod`
+    picks one representative per coset.
     """
-
-    sub: F2Basis
-    ext: F2Basis
-    full: F2Basis
-
-
-def coset_space(sub: F2Basis, ambient: Iterable[int]) -> CosetSpace:
-    """Coset space of span(sub) inside span(sub ∪ ambient)."""
-    ext_rows = extend_basis(sub, ambient).rows[len(sub.rows):]
-    for e in ext_rows:
-        for s in sub.rows:
-            if twisted_dot(e, s, sub.n):
-                raise ValueError(
-                    f"extension vector {format_vector(e, sub.n)} is not "
-                    f"twisted-orthogonal to {format_vector(s, sub.n)}"
-                )
-    full = reduce((*sub.rows, *ext_rows), sub.n)
-    return CosetSpace(sub, F2Basis(sub.n, ext_rows), full)
-
-
-def coset_count(hits: Iterable[int], cs: CosetSpace) -> int:
-    """Number of distinct cosets of span(cs.sub) represented among hits.
-
-    A hit outside span(sub ∪ ext) is a caller bug and raises.
-    """
-    seen = set()
-    for h in hits:
-        if reduce_mod(h, cs.full):  # cs.full is canonical, so this is membership
-            raise ValueError(
-                f"hit {format_vector(h, cs.sub.n)} lies outside the coset space"
-            )
-        seen.add(reduce_mod(h, cs.sub))
-    return len(seen)
+    return len({reduce_mod(h, sub) for h in hits})
 
 
 # elements per chunk of enumerate_isotropic's level pass; bounds its temporaries
@@ -295,9 +259,11 @@ def _isotropic_children(parents: np.ndarray, n: int) -> np.ndarray:
 
     ``parents`` holds one canonical isotropic basis per row, sorted.  A
     child's v is nonzero, has its pivot above P's last pivot q and clear
-    in every row of P, and is twisted-orthogonal to every row of P.  Parents are grouped by q, whose candidates are the nonzero
-    multiples of 2^(q+1) below 2^(2n); each chunk of a group masks its
-    candidates in one pass.
+    in every row of P, and is twisted-orthogonal to every row of P.
+
+    Parents are grouped by q, whose candidates are the nonzero multiples of
+    2^(q+1) below 2^(2n); each chunk of a group masks its candidates in one
+    pass.
     """
     count, d = parents.shape
     if d:

@@ -122,15 +122,9 @@ def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
     """
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    n = ch.n
-    swaps = [f2.swap_halves(g.check_vector(), n) for g in group.generators]
-    hits = [
-        v
-        for v in sorted(difference_set(ch))
-        if all((v & s).bit_count() & 1 == 0 for s in swaps)
-    ]
-    cosets = f2.coset_space(group.check_basis(), centralizer_image(group).rows)
-    return f2.coset_count(hits, cosets)
+    centralizer = centralizer_image(group)
+    hits = (v for v in difference_set(ch) if f2.reduce_mod(v, centralizer) == 0)
+    return f2.coset_count(hits, group.check_basis())
 
 
 def is_anticlique(ch: PauliChannel, group: StabilizerGroup) -> bool:

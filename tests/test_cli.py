@@ -282,6 +282,14 @@ class TestSelftest:
         assert doc["passed"] is True
         assert [e["criterion"] for e in doc["criteria"]] == list(range(1, 10))
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_rejected(self, capsys, monkeypatch, n):
+        monkeypatch.setattr("qramsey.selftest.run", lambda **kw: pytest.fail("ran"))
+        code, out, err = invoke(capsys, "selftest", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --n must be a positive integer\n"
+
     def test_failure_exits_2(self, capsys, monkeypatch):
         broken = [(1, selftest.CheckResult("forced", False, "boom"))]
         monkeypatch.setattr("qramsey.selftest.run", lambda **kw: broken)

@@ -217,21 +217,12 @@ class TestExtendBasis:
 class TestCosets:
     def test_example_two_cosets(self):
         sub = f2.reduce([vec("00", "11")], 2)
-        cs = f2.coset_space(sub, f2.twisted_kernel(sub.rows, 2).rows)
-        assert f2.coset_count([0, vec("11", "00")], cs) == 2
+        assert f2.coset_count([0, vec("11", "00")], sub) == 2
 
     def test_same_coset_merges(self):
         sub = f2.reduce([vec("00", "11")], 2)
-        cs = f2.coset_space(sub, f2.twisted_kernel(sub.rows, 2).rows)
         hits = [vec("11", "00"), vec("11", "00") ^ vec("00", "11")]
-        assert f2.coset_count(hits, cs) == 1
-
-    def test_hit_outside_space_is_callers_bug(self):
-        sub = f2.reduce([vec("00", "11")], 2)
-        cs = f2.coset_space(sub, f2.twisted_kernel(sub.rows, 2).rows)
-        outside = vec("10", "00")  # anticommutes with ZZ, not in the kernel
-        with pytest.raises(ValueError, match="outside"):
-            f2.coset_count([outside], cs)
+        assert f2.coset_count(hits, sub) == 1
 
     def test_count_matches_brute_force_partition(self):
         rng = random.Random(23)
@@ -240,19 +231,12 @@ class TestCosets:
             d = rng.randrange(0, n + 1)
             candidates = list(f2.enumerate_isotropic(n, d))
             sub = rng.choice(candidates)
-            kernel = f2.twisted_kernel(sub.rows, n)
-            cs = f2.coset_space(sub, kernel.rows)
-            pool = kernel.span()
+            pool = f2.twisted_kernel(sub.rows, n).span()
             hits = [rng.choice(pool) for _ in range(rng.randrange(1, 8))]
-            got = f2.coset_count(hits, cs)
+            got = f2.coset_count(hits, sub)
             sub_span = set(sub.span())
             classes = {frozenset(h ^ s for s in sub_span) for h in hits}
             assert got == len(classes)
-
-    def test_nonorthogonal_extension_rejected(self):
-        sub = f2.reduce([vec("10", "00")], 2)
-        with pytest.raises(ValueError, match="twisted-orthogonal"):
-            f2.coset_space(sub, [vec("10", "00"), vec("00", "10")])
 
 
 class TestEnumerateIsotropic:

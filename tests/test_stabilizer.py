@@ -176,12 +176,17 @@ class TestCentralizerImage:
         assert not f2.in_span(parse("X").check_vector(), image)
 
     def test_membership_matches_commutation(self):
-        group = stabilizer.from_string("ZZI,IZZ")
-        image = stabilizer.centralizer_image(group)
-        for v in range(1 << 6):
-            p = hermitian_rep(v, 3)
-            commutes = all(p.commutes(g) for g in group.generators)
-            assert f2.in_span(v, image) == commutes
+        # reduce_mod tests membership only on a canonical basis, so this also
+        # pins centralizer_image (twisted_kernel) as canonical
+        for n in (1, 2, 3):
+            ops = [hermitian_rep(v, n) for v in range(1 << (2 * n))]
+            for d in range(n + 1):
+                for basis in f2.enumerate_isotropic(n, d):
+                    group = group_from_rows(basis.rows, n)
+                    image = stabilizer.centralizer_image(group)
+                    for v, p in enumerate(ops):
+                        commutes = all(p.commutes(g) for g in group.generators)
+                        assert (f2.reduce_mod(v, image) == 0) == commutes
 
 
 class TestProjector:
