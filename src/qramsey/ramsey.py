@@ -163,12 +163,17 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
 # in canonical order; their data (basis rows, their pivots and their
 # swapped halves, which are the commutation masks) is stored once per
 # (n, d) as uint64 arrays, and only as arrays, so one numpy pass per k
-# counts the cosets of all candidates.  A candidate's stabilizer group is
-# built from its array row and validated on its first witness and then
-# kept, so each group is validated once per process.
+# counts the cosets of all candidates.  A witness record is fixed by
+# (n, d, candidate, kind), so each candidate keeps the SearchWitness built
+# on its first hit as each kind, and later searches gather them with one
+# fancy index.  A candidate's two records share one stabilizer group,
+# built from its array row and validated once per process.
 
 # elements per chunk of the batched coset count; bounds its temporaries
 _CHUNK_ELEMENTS = 1 << 16
+
+# record columns of _Candidates, indexed by kind
+_KINDS = ("anticlique", "clique")
 
 
 @dataclass(eq=False, slots=True)
@@ -177,16 +182,24 @@ class _Candidates:
     rows: np.ndarray
     pivots: np.ndarray
     swaps: np.ndarray
-    groups: list[StabilizerGroup | None]
+    records: np.ndarray  # object (count, 2): SearchWitness per kind
+    built: np.ndarray  # bool (count, 2): which records exist
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def group(self, i: int) -> StabilizerGroup:
-        g = self.groups[i]
-        if g is None:
-            g = self.groups[i] = _group_from_rows(tuple(self.rows[i].tolist()), self.n)
-        return g
+    def witnesses(self, hits: np.ndarray, kinds: np.ndarray) -> list[SearchWitness]:
+        """Records of candidates ``hits`` as ``kinds``, built on first use."""
+        missing = ~self.built[hits, kinds]
+        for i, kind in zip(hits[missing].tolist(), kinds[missing].tolist()):
+            if self.built[i, 1 - kind]:
+                group = self.records[i, 1 - kind].group
+            else:
+                group = _group_from_rows(tuple(self.rows[i].tolist()), self.n)
+            dim_pgp = 1 << (2 * group.k) if kind else 1
+            self.records[i, kind] = SearchWitness(group.k, _KINDS[kind], group, dim_pgp)
+            self.built[i, kind] = True
+        return self.records[hits, kinds].tolist()
 
 
 _SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
@@ -196,14 +209,16 @@ def _candidates(n: int, d: int) -> _Candidates:
     key = (n, d)
     if key not in _SUBSPACE_CACHE:
         row_list = [basis.rows for basis in f2.enumerate_isotropic(n, d)]
-        rows = np.array(row_list, dtype=np.uint64).reshape(len(row_list), d)
+        count = len(row_list)
+        rows = np.array(row_list, dtype=np.uint64).reshape(count, d)
         lowest_bit = rows & (~rows + 1)
         _SUBSPACE_CACHE[key] = _Candidates(
             n,
             rows,
             np.bitwise_count(lowest_bit - 1).astype(np.uint64),
             f2.swap_halves(rows, n),
-            [None] * len(row_list),
+            np.empty((count, 2), dtype=object),
+            np.zeros((count, 2), dtype=bool),
         )
     return _SUBSPACE_CACHE[key]
 
@@ -217,12 +232,13 @@ def _coset_counts(diffs: Sequence[int], cands: _Candidates) -> np.ndarray:
     a candidate's hit mask costs one lookup per row.  Only the hits are
     reduced by the pivot rows in order, and the distinct representatives
     are counted by marking them in a boolean row of width 2^{2n} per
-    candidate.
+    candidate, padded to whole uint64 words whose bits are then counted.
     """
     v0 = np.asarray(diffs, dtype=np.uint64)
     width = 1 << (2 * cands.n)
     every = np.arange(width, dtype=np.uint64)
     commutes = (np.bitwise_count(every[:, None] & v0) & 1) == 0
+    padded = -(-width // 8) * 8  # whole uint64 words per mark row
     step = max(1, _CHUNK_ELEMENTS // width)
     counts = np.empty(len(cands), dtype=np.int64)
     for lo in range(0, len(cands), step):
@@ -235,9 +251,9 @@ def _coset_counts(diffs: Sequence[int], cands: _Candidates) -> np.ndarray:
         v = v0[i]
         for r, p in zip(rows.T, pivots.T):
             v ^= ((v >> p[c]) & 1) * r[c]
-        marks = np.zeros((hi - lo, width), dtype=bool)
+        marks = np.zeros((hi - lo, padded), dtype=bool)
         marks[c, v] = True
-        counts[lo:hi] = np.count_nonzero(marks, axis=1)
+        counts[lo:hi] = np.bitwise_count(marks.view(np.uint64)).sum(axis=1)
     return counts
 
 
@@ -327,9 +343,12 @@ def search(
     For each requested k the compressed dimension of every (n-k)-dimensional
     isotropic subspace is counted in one batched pass, and the witnesses
     are reported in canonical subspace order with the plus-signed group.
-    A candidate's group is built and validated on its first witness and
-    reused by later searches in the same process.  Exhaustive and
-    deterministic; signs never matter to the verdicts.
+    Witness records are memoized per candidate and kind: each is built on
+    the candidate's first hit as that kind and returned again, as the same
+    object, by later searches in the same process; a candidate's
+    anticlique and clique records share one validated group.  Exhaustive
+    and deterministic; signs never matter to the verdicts.  Every k in
+    ``k_range`` must be an int in 1..n.
     """
     if mode not in ("anticlique", "clique", "both"):
         raise ValueError(f"mode must be anticlique, clique or both, got {mode!r}")
@@ -339,7 +358,11 @@ def search(
     if k_range is None:
         ks = list(range(1, n + 1))
     else:
-        ks = sorted(set(k_range))
+        requested = list(k_range)
+        wrong = [k for k in requested if isinstance(k, bool) or not isinstance(k, int)]
+        if wrong:
+            raise ValueError(f"k must be an int, got {wrong[0]!r}")
+        ks = sorted(set(requested))
         if not ks:
             raise ValueError("k_range must be nonempty")
         bad = [k for k in ks if k < 1 or k > n]
@@ -359,9 +382,7 @@ def search(
         if mode != "anticlique":
             wanted |= counts == full
         hits = np.flatnonzero(wanted)
-        for i, count in zip(hits.tolist(), counts[hits].tolist()):
-            kind = "anticlique" if count == 1 else "clique"
-            witnesses.append(SearchWitness(k, kind, cands.group(i), count))
+        witnesses += cands.witnesses(hits, (counts[hits] != 1).astype(np.intp))
     return SearchReport(
         n,
         tuple(str(op) for op in ch.operators),

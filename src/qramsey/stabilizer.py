@@ -86,30 +86,31 @@ def validate(generators: Sequence[PauliOperator], n: int | None = None) -> Stabi
         for j in range(i + 1, len(gens)):
             if not gens[i].commutes(gens[j]):
                 raise ValueError(f"generators anticommute: ({i + 1},{j + 1})")
-    if f2.reduce((g.check_vector() for g in gens), n).dim != len(gens):
-        raise ValueError("generator check vectors are dependent")
-    return StabilizerGroup(n, _canonical(gens, n))
+    return StabilizerGroup(n, _canonical(gens))
 
 
-def _canonical(gens: list[PauliOperator], n: int) -> tuple[PauliOperator, ...]:
-    # row reduce at the group level: eliminating a pivot multiplies by the
-    # pivot generator, which keeps signs exact (products of commuting
-    # Hermitian Paulis are Hermitian)
-    ops = list(gens)
-    row = 0
-    for col in range(2 * n):
-        src = next(
-            (i for i in range(row, len(ops)) if (ops[i].check_vector() >> col) & 1),
-            None,
-        )
-        if src is None:
-            continue
-        ops[row], ops[src] = ops[src], ops[row]
-        for j in range(len(ops)):
-            if j != row and (ops[j].check_vector() >> col) & 1:
-                ops[j] = ops[j].multiply(ops[row])
-        row += 1
-    return tuple(sorted(ops, key=lambda g: g.check_vector()))
+def _canonical(gens: list[PauliOperator]) -> tuple[PauliOperator, ...]:
+    # row reduce at the group level, one generator at a time as f2.reduce
+    # does: eliminating a pivot multiplies by the pivot generator, which
+    # keeps signs exact (products of commuting Hermitian Paulis are
+    # Hermitian).  A generator that reduces to check vector 0 is a product
+    # of the earlier ones.
+    rows: list[tuple[int, int, PauliOperator]] = []  # (pivot, check vector, op)
+    for g in gens:
+        v = g.check_vector()
+        for p, r, op in rows:
+            if (v >> p) & 1:
+                v ^= r
+                g = g.multiply(op)
+        if not v:
+            raise ValueError("generator check vectors are dependent")
+        p = (v & -v).bit_length() - 1
+        rows = [
+            (q, r ^ v, op.multiply(g)) if (r >> p) & 1 else (q, r, op)
+            for q, r, op in rows
+        ]
+        rows.append((p, v, g))
+    return tuple(op for _, _, op in sorted(rows, key=lambda row: row[1]))
 
 
 def from_string(text: str, n: int | None = None) -> StabilizerGroup:

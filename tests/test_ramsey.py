@@ -8,6 +8,7 @@ so here the focus is the contracts and the worked examples.
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from qramsey import channel, f2, oracle, ramsey, stabilizer
@@ -193,6 +194,15 @@ class TestSearch:
         with pytest.raises(ValueError, match="mode"):
             ramsey.search(ch, "sideways")
 
+    def test_k_range_rejects_non_int(self):
+        # True would pass for 1 in a set and in the JSON; 1.5 would reach
+        # the candidate cache as a float
+        ch = make_channel("II")
+        with pytest.raises(ValueError, match="k must be an int, got True"):
+            ramsey.search(ch, "both", [True])
+        with pytest.raises(ValueError, match="k must be an int, got 1.5"):
+            ramsey.search(ch, "both", [1, 1.5])
+
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             ramsey.search(channel.from_noise([identity(5)]), "both")
@@ -350,6 +360,21 @@ class TestClassify:
         }
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Empty candidate cache; the list of ramsey's validate calls."""
+    monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+    calls = []
+    real_validate = ramsey.validate
+
+    def counting_validate(*args, **kwargs):
+        calls.append(args)
+        return real_validate(*args, **kwargs)
+
+    monkeypatch.setattr(ramsey, "validate", counting_validate)
+    return calls
+
+
 class TestConstructionInternals:
     """The two proof procedures, checked on their own postconditions."""
 
@@ -359,7 +384,14 @@ class TestConstructionInternals:
         # on the witnesses it reports.  Small chunks put chunk boundaries
         # inside the candidate arrays and inside the single-candidate d=0 case.
         rng = random.Random(29)
-        cases = [(2, FULL_P2), (2, MAXIMAL_X)]
+        # every n=1 channel: its 4-wide mark rows are padded to a uint64 word
+        paulis = [hermitian_rep(v, 1) for v in range(4)]
+        cases = [
+            (1, channel.from_noise(list(ops)))
+            for size in range(1, 5)
+            for ops in combinations(paulis, size)
+        ]
+        cases += [(2, FULL_P2), (2, MAXIMAL_X)]
         cases += [(2, random_channel(rng, 2, 8)) for _ in range(40)]
         cases += [(3, random_channel(rng, 3, 8)) for _ in range(5)]
         expected = {}
@@ -380,34 +412,42 @@ class TestConstructionInternals:
                     counts = ramsey._coset_counts(diffs, ramsey._candidates(n, n - k))
                     assert counts.tolist() == expected[c, k], (chunk, n, k)
 
-    def test_witness_groups_are_validated_once(self, monkeypatch):
-        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
-        calls = []
-        real_validate = ramsey.validate
-
-        def counting_validate(*args, **kwargs):
-            calls.append(args)
-            return real_validate(*args, **kwargs)
-
-        monkeypatch.setattr(ramsey, "validate", counting_validate)
+    def test_witness_groups_are_validated_once(self, validate_calls):
         ch = make_channel("III", "XII", "ZII", "IYI", "IIZ")
         first = ramsey.search(ch, mode="both")
-        built = len(calls)
+        built = len(validate_calls)
         assert built > 0
         second = ramsey.search(ch, mode="both")
-        assert len(calls) == built
+        assert len(validate_calls) == built
         assert second == first
         assert first.witnesses
+        assert all(a is b for a, b in zip(first.witnesses, second.witnesses))
         n = 3
         memoized = 0
         for d in range(n):
             cands = ramsey._candidates(n, d)
-            for rows, group in zip(cands.rows.tolist(), cands.groups):
-                if group is not None:
-                    ops = [hermitian_rep(v, n) for v in rows]
-                    assert group == stabilizer.validate(ops, n=n)
-                    memoized += 1
+            for i in np.flatnonzero(cands.built.any(axis=1)).tolist():
+                records = cands.records[i][cands.built[i]].tolist()
+                group = records[0].group
+                assert all(r.group is group for r in records)
+                ops = [hermitian_rep(v, n) for v in cands.rows[i].tolist()]
+                assert group == stabilizer.validate(ops, n=n)
+                memoized += 1
         assert memoized == built
+
+    def test_anticlique_and_clique_records_share_one_group(self, validate_calls):
+        # every k=1 code is an anticlique of the identity channel and a
+        # clique of the full Pauli channel
+        anti = ramsey.search(make_channel("II"), "both", [1]).witnesses
+        clique = ramsey.search(FULL_P2, "both", [1]).witnesses
+        cands = ramsey._candidates(2, 1)
+        assert len(anti) == len(clique) == len(cands) == len(validate_calls)
+        assert cands.built.all()
+        for i, (a, c) in enumerate(zip(anti, clique)):
+            assert (a.kind, a.dim_pgp) == ("anticlique", 1)
+            assert (c.kind, c.dim_pgp) == ("clique", 4)
+            assert a is cands.records[i, 0] and c is cands.records[i, 1]
+            assert a.group is c.group
 
     def test_commuting_candidates_verify(self):
         rng = random.Random(17)

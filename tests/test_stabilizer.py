@@ -120,6 +120,74 @@ class TestCanonicalForm:
         assert stabilizer.from_string(str(group)) == group
 
 
+def _column_sweep_canonical(gens, n):
+    """The former canonical form: an f2.reduce independence pass, then a
+    group-level row reduction sweeping the columns in order."""
+    if f2.reduce((g.check_vector() for g in gens), n).dim != len(gens):
+        raise ValueError("generator check vectors are dependent")
+    ops = list(gens)
+    row = 0
+    for col in range(2 * n):
+        src = next(
+            (i for i in range(row, len(ops)) if (ops[i].check_vector() >> col) & 1),
+            None,
+        )
+        if src is None:
+            continue
+        ops[row], ops[src] = ops[src], ops[row]
+        for j in range(len(ops)):
+            if j != row and (ops[j].check_vector() >> col) & 1:
+                ops[j] = ops[j].multiply(ops[row])
+        row += 1
+    return tuple(sorted(ops, key=lambda g: g.check_vector()))
+
+
+def _outcome(build, gens):
+    try:
+        return build(gens)
+    except ValueError as err:
+        return str(err)
+
+
+def _scrambled_presentation(rng, rows, n):
+    """Generators of the group on ``rows`` with random signs, replaced by
+    random products of each other, sometimes with a signed product of some
+    of them (or +-I) appended, and shuffled."""
+    gens = []
+    for v in rows:
+        g = hermitian_rep(v, n)
+        gens.append(PauliOperator(n, (g.phase + 2 * rng.randrange(2)) % 4, g.x, g.z))
+    if len(gens) > 1:
+        for _ in range(rng.randrange(2 * len(gens))):
+            i, j = rng.sample(range(len(gens)), 2)
+            gens[i] = gens[i].multiply(gens[j])
+    if rng.random() < 0.4:
+        extra = PauliOperator(n, 2 * rng.randrange(2), 0, 0)
+        for g in rng.sample(gens, rng.randrange(len(gens) + 1)):
+            extra = extra.multiply(g)
+        gens.append(extra)
+    rng.shuffle(gens)
+    return gens
+
+
+class TestOnePassCanonical:
+    def test_matches_column_sweep_on_every_small_subspace(self):
+        rng = random.Random(41)
+        errors = 0
+        for n in range(1, 4):
+            for d in range(n + 1):
+                for basis in f2.enumerate_isotropic(n, d):
+                    for _ in range(3):
+                        gens = _scrambled_presentation(rng, basis.rows, n)
+                        want = _outcome(lambda g: _column_sweep_canonical(g, n), gens)
+                        assert _outcome(stabilizer._canonical, gens) == want
+                        assert _outcome(
+                            lambda g: stabilizer.validate(g, n=n).generators, gens
+                        ) == want
+                        errors += isinstance(want, str)
+        assert errors > 200
+
+
 class TestElements:
     def test_bell_group_elements(self):
         group = stabilizer.from_string("XX,ZZ")
