@@ -5,6 +5,14 @@ with dense matrix products, code projectors with the product formula, and
 dimensions with singular values of honest Gram matrices.  Agreement with
 the bit-level routines is therefore evidence that both are right, which
 is the whole point.  Everything is deterministic given the seed.
+
+The hot paths are batched: the quotient stack is one broadcast ``matmul``,
+the scalar test reduces every compression at once over its matrix axes,
+and privacy sampling draws all pairs in one call and reads every overlap
+from one ``einsum``.  Privacy works in code coordinates: with V the
+orthonormal code basis from ``eigh`` of the projector, each quotient Q is
+reduced to V^+ Q V, so the sampled pairs and temporaries have the code's
+dimension 2^k rather than 2^n.
 """
 
 from __future__ import annotations
@@ -48,7 +56,9 @@ def _dense(op: PauliOperator) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=4096)
+# A verifier reuses a projector only within one (channel, code) report, so a
+# small bound keeps a long-running verifier's memory flat.
+@lru_cache(maxsize=256)
 def _projector(group: StabilizerGroup) -> np.ndarray:
     p = projector(group)
     p.flags.writeable = False
@@ -60,7 +70,7 @@ def _quotient_stack(ch: PauliChannel, limit: int) -> np.ndarray:
     if ch.n > limit:
         raise CapacityError(f"dense oracle limited to {limit} qubits, got {ch.n}")
     ops = np.stack([_dense(op) for op in ch.operators])
-    prods = np.einsum("iba,jbc->ijac", ops.conj(), ops)
+    prods = ops.conj().transpose(0, 2, 1)[:, None] @ ops[None]
     return prods.reshape(-1, *prods.shape[2:])
 
 
@@ -114,19 +124,18 @@ def kl_check(
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
     p = _projector(group)
-    return _scalar_compressions(p, _compress(p, _quotient_stack(ch, limit)), tolerance)
+    compressed = _compress(p, _quotient_stack(ch, limit))
+    return _compression_scalars(p, compressed, tolerance) is not None
 
 
-def _scalar_compressions(
+def _compression_scalars(
     p: np.ndarray, compressed: np.ndarray, tolerance: float
-) -> bool:
-    trace_p = np.trace(p).real
-    for mat in compressed:
-        c = np.trace(mat) / trace_p
-        residual = np.linalg.norm(mat - c * p)
-        if residual > tolerance * max(1.0, np.linalg.norm(mat)):
-            return False
-    return True
+) -> np.ndarray | None:
+    """The scalars c with P Q P = c P for every Q, or None if one is not scalar."""
+    scalars = np.trace(compressed, axis1=1, axis2=2) / np.trace(p).real
+    residuals = np.linalg.norm(compressed - scalars[:, None, None] * p, axis=(1, 2))
+    scales = np.maximum(1.0, np.linalg.norm(compressed, axis=(1, 2)))
+    return None if (residuals > tolerance * scales).any() else scalars
 
 
 def dense_maximal_check(
@@ -152,11 +161,8 @@ def dense_maximal_check(
     if _gram_rank(stack, tolerance).rank != 1 << ch.n:
         return False
     p = _projector(group)
-    compressed = _compress(p, stack)
-    if not _scalar_compressions(p, compressed, SCALAR_TOLERANCE):
-        return False
-    trace_p = np.trace(p).real
-    return all(abs(np.trace(mat) / trace_p) > SCALAR_TOLERANCE for mat in compressed)
+    scalars = _compression_scalars(p, _compress(p, stack), SCALAR_TOLERANCE)
+    return scalars is not None and bool((np.abs(scalars) > SCALAR_TOLERANCE).all())
 
 
 def private_witness_check(
@@ -173,7 +179,15 @@ def private_witness_check(
     requires some quotient with |<a|E_j^+ E_i|b>| above tolerance for each.
     Sampling can support or refute, never prove; callers treat the answer
     as evidence at this seed and sample count.
+
+    All pairs come from one ``normal(size=(samples, 4, 2^k))`` draw, in
+    code coordinates, and every overlap <a|V^+ Q V|b> from one ``einsum``.
+    A ``b`` whose component orthogonal to ``a`` has norm at most 1e-6 is
+    drawn again from the same generator after the batch, in sample order,
+    until none is left (see ``_code_pairs``).
     """
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise ValueError(f"sample count must be an int, got {samples!r}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if ch.n != group.n:
@@ -183,23 +197,41 @@ def private_witness_check(
     quotients = _quotient_stack(ch, limit)
     values, vectors = np.linalg.eigh(_projector(group))
     code = vectors[:, values > 0.5]
-    rng = np.random.default_rng(seed)
-    dim = code.shape[1]
-    for _ in range(samples):
-        a = code @ _unit(rng, dim)
-        while True:
-            b = code @ _unit(rng, dim)
-            b -= (a.conj() @ b) * a
-            norm = np.linalg.norm(b)
-            if norm > 1e-6:
-                b /= norm
-                break
-        overlaps = np.einsum("a,qab,b->q", a.conj(), quotients, b)
-        if not (np.abs(overlaps) > tolerance).any():
-            return False
-    return True
+    reduced = code.conj().T @ quotients @ code
+    a, b = _code_pairs(np.random.default_rng(seed), samples, code.shape[1])
+    overlaps = np.einsum("sa,qab,sb->sq", a.conj(), reduced, b, optimize=True)
+    return bool((np.abs(overlaps) > tolerance).any(axis=1).all())
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def _code_pairs(
+    rng: np.random.Generator, samples: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``samples`` orthonormal pairs (a, b) in C^dim, as two (samples, dim) arrays.
+
+    Each sample takes four normal vectors from one draw: the real and
+    imaginary parts of a, then of b; both are normalised and b is made
+    orthogonal to a.  This is the order a sample-by-sample loop would
+    draw them in.  A b left with norm at most 1e-6 is redrawn afterwards,
+    all such samples together in sample order, until none is left; that
+    redraw is the only point where the stream differs from such a loop.
+    """
+    draw = rng.normal(size=(samples, 4, dim))
+    a = _unit_rows(draw[:, 0] + 1j * draw[:, 1])
+    b = _orthogonal_part(a, _unit_rows(draw[:, 2] + 1j * draw[:, 3]))
+    norms = np.linalg.norm(b, axis=1)
+    bad = np.flatnonzero(norms <= 1e-6)
+    while bad.size:
+        fresh = rng.normal(size=(bad.size, 2, dim))
+        b[bad] = _orthogonal_part(a[bad], _unit_rows(fresh[:, 0] + 1j * fresh[:, 1]))
+        norms[bad] = np.linalg.norm(b[bad], axis=1)
+        bad = bad[norms[bad] <= 1e-6]
+    return a, b / norms[:, None]
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _orthogonal_part(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of b minus its projection on the unit row of a."""
+    return b - np.einsum("sa,sa->s", a.conj(), b)[:, None] * a

@@ -183,6 +183,13 @@ class TestPrivateWitnessCheck:
                 make_channel("II"), stabilizer.from_string("ZI"), samples=0
             )
 
+    @pytest.mark.parametrize("samples", [True, 2.5])
+    def test_sample_count_must_be_an_int(self, samples):
+        with pytest.raises(ValueError, match="sample count must be an int"):
+            oracle.private_witness_check(
+                make_channel("II"), stabilizer.from_string("ZI"), samples=samples
+            )
+
     def test_deterministic_for_a_seed(self):
         ch = make_channel("II", "XI", "ZI")
         witness = ramsey.classify(ch).witness
@@ -191,3 +198,202 @@ class TestPrivateWitnessCheck:
             for _ in range(3)
         }
         assert runs == {True}
+
+
+# -- sequential references ------------------------------------------------------
+#
+# The oracle's hot paths are batched numpy passes.  These are the per-matrix
+# and per-sample loops they replaced, kept as the reference the batched code
+# must agree with.
+
+
+def loop_quotient_stack(ch):
+    ops = np.stack([op.to_dense() for op in ch.operators])
+    prods = np.einsum("iba,jbc->ijac", ops.conj(), ops)
+    return prods.reshape(-1, *prods.shape[2:])
+
+
+def loop_scalars(ch, group):
+    """Per-matrix scalar test: the scalars, or None if a compression is not scalar."""
+    p = stabilizer.projector(group)
+    trace_p = np.trace(p).real
+    scalars = []
+    for mat in p @ loop_quotient_stack(ch) @ p:
+        c = np.trace(mat) / trace_p
+        if np.linalg.norm(mat - c * p) > oracle.SCALAR_TOLERANCE * max(
+            1.0, np.linalg.norm(mat)
+        ):
+            return None
+        scalars.append(c)
+    return scalars
+
+
+def loop_maximal_check(ch, group):
+    if oracle.dense_graph_dimension(ch).rank != 1 << ch.n:
+        return False
+    scalars = loop_scalars(ch, group)
+    return scalars is not None and all(
+        abs(c) > oracle.SCALAR_TOLERANCE for c in scalars
+    )
+
+
+def loop_unit(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def loop_pairs(rng, samples, dim):
+    """One (a, b) pair at a time, in code coordinates."""
+    pairs = []
+    for _ in range(samples):
+        a = loop_unit(rng, dim)
+        while True:
+            b = loop_unit(rng, dim)
+            b -= (a.conj() @ b) * a
+            norm = np.linalg.norm(b)
+            if norm > 1e-6:
+                pairs.append((a, b / norm))
+                break
+    return pairs
+
+
+def loop_private_witness_check(ch, group, samples, seed):
+    quotients = loop_quotient_stack(ch)
+    values, vectors = np.linalg.eigh(stabilizer.projector(group))
+    code = vectors[:, values > 0.5]
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        a = code @ loop_unit(rng, code.shape[1])
+        while True:
+            b = code @ loop_unit(rng, code.shape[1])
+            b -= (a.conj() @ b) * a
+            norm = np.linalg.norm(b)
+            if norm > 1e-6:
+                b /= norm
+                break
+        overlaps = np.einsum("a,qab,b->q", a.conj(), quotients, b)
+        if not (np.abs(overlaps) > oracle.SCALAR_TOLERANCE).any():
+            return False
+    return True
+
+
+def random_pairs(seed, count, max_n=4):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, max_n + 1)
+        yield random_channel(rng, n, max_ops=9), random_group(rng, n)
+
+
+class TestBatchedAgainstLoops:
+    def test_quotient_stack_is_exact(self):
+        for ch, _ in random_pairs(37, 30):
+            batched = oracle._quotient_stack(ch, ch.n)
+            assert batched.shape == (len(ch.operators) ** 2, 1 << ch.n, 1 << ch.n)
+            assert np.array_equal(batched, loop_quotient_stack(ch))
+
+    def test_kl_check_matches_the_loop(self):
+        verdicts = []
+        for ch, group in random_pairs(41, 60):
+            verdicts.append(oracle.kl_check(ch, group))
+            assert verdicts[-1] == (loop_scalars(ch, group) is not None)
+        assert set(verdicts) == {True, False}
+
+    def test_maximal_check_matches_the_loop(self):
+        rng = random.Random(43)
+        verdicts = []
+        for _ in range(20):
+            n = rng.randrange(1, 4)
+            group = random_group(rng, n, d=n)
+            # another group's maximal channel has full graph rank, so its
+            # verdict rests on the scalar test
+            candidates = [
+                channel.maximal_stabilizer_channel(group),
+                channel.maximal_stabilizer_channel(random_group(rng, n, d=n)),
+                random_channel(rng, n),
+            ]
+            for ch in candidates:
+                verdicts.append(oracle.dense_maximal_check(ch, group))
+                assert verdicts[-1] == loop_maximal_check(ch, group)
+        assert set(verdicts) == {True, False}
+
+    def test_privacy_matches_the_sequential_loop(self):
+        rng = random.Random(47)
+        verdicts = []
+        for seed, (ch, group) in enumerate(random_pairs(53, 120)):
+            if group.k < 1:
+                continue
+            samples = rng.choice([1, 2, 5, 40])
+            verdicts.append(
+                oracle.private_witness_check(ch, group, samples=samples, seed=seed)
+            )
+            assert verdicts[-1] == loop_private_witness_check(ch, group, samples, seed)
+        assert verdicts.count(True) >= 5 and verdicts.count(False) >= 5
+
+    def test_one_draw_gives_the_sequential_stream(self):
+        for dim, samples in [(2, 1), (2, 30), (4, 7), (8, 3)]:
+            a, b = oracle._code_pairs(np.random.default_rng(dim), samples, dim)
+            expected = loop_pairs(np.random.default_rng(dim), samples, dim)
+            assert a.shape == b.shape == (samples, dim)
+            np.testing.assert_allclose(a, [x for x, _ in expected], atol=1e-12)
+            np.testing.assert_allclose(b, [y for _, y in expected], atol=1e-12)
+
+
+class DegenerateOnce:
+    """A generator whose first draw makes sample ``index``'s b parallel to its a."""
+
+    def __init__(self, seed, index):
+        # default_rng's own generator, built without default_rng so that a
+        # test may patch default_rng to return this stub
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.index = index
+        self.sizes = []
+
+    def normal(self, size):
+        self.sizes.append(size)
+        draw = self.rng.normal(size=size)
+        if len(self.sizes) == 1:
+            draw[self.index, 2:] = 3 * draw[self.index, :2]
+        return draw
+
+
+class TestDegenerateRedraw:
+    def test_redraw_replaces_only_the_degenerate_sample(self):
+        stub = DegenerateOnce(seed=5, index=1)
+        a, b = oracle._code_pairs(stub, 3, 2)
+        assert stub.sizes == [(3, 4, 2), (1, 2, 2)]
+        np.testing.assert_allclose(np.einsum("sa,sa->s", a.conj(), b), 0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1)
+        np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1)
+        # the other samples keep the pairs a sequential loop draws for them
+        expected = loop_pairs(np.random.default_rng(5), 3, 2)
+        for s in (0, 2):
+            np.testing.assert_allclose(a[s], expected[s][0], atol=1e-12)
+            np.testing.assert_allclose(b[s], expected[s][1], atol=1e-12)
+        # the redrawn b comes from the generator's next numbers
+        rest = np.random.default_rng(5)
+        rest.normal(size=(3, 4, 2))
+        fresh = rest.normal(size=(1, 2, 2))[0]
+        unit = fresh[0] + 1j * fresh[1]
+        unit /= np.linalg.norm(unit)
+        orthogonal = unit - (a[1].conj() @ unit) * a[1]
+        expected_b = orthogonal / np.linalg.norm(orthogonal)
+        np.testing.assert_allclose(b[1], expected_b, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "noise, private", [(("II", "XI", "ZI"), True), (("II",), False)]
+    )
+    def test_verdict_with_a_redraw(self, monkeypatch, noise, private):
+        ch = make_channel(*noise)
+        group = ramsey.classify(ch).witness if private else stabilizer.from_string("IZ")
+        stubs = []
+
+        def default_rng(seed):
+            stubs.append(DegenerateOnce(seed, index=2))
+            return stubs[-1]
+
+        monkeypatch.setattr(oracle.np.random, "default_rng", default_rng)
+        runs = [
+            oracle.private_witness_check(ch, group, samples=4, seed=3) for _ in range(2)
+        ]
+        assert runs == [private, private]
+        assert all(len(stub.sizes) == 2 for stub in stubs)
