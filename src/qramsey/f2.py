@@ -17,6 +17,7 @@ and yields plain-int bases from it.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -41,16 +42,15 @@ __all__ = [
 ]
 
 
-def _check_vector(v: int, n: int) -> None:
+def _check_qubits(n: int) -> None:
     if n < 1:
         raise ValueError(f"qubit count must be positive, got {n}")
-    if v < 0 or v >> (2 * n):
+
+
+def _check_vector(v: int, n: int) -> None:
+    if n < 1 or v < 0 or v >> (2 * n):
+        _check_qubits(n)
         raise ValueError(f"vector {v:#x} does not fit in F_2^{2 * n}")
-
-
-def _pivot(v: int) -> int:
-    # index of the lowest set bit; callers guarantee v != 0
-    return (v & -v).bit_length() - 1
 
 
 def swap_halves(v: int, n: int) -> int:
@@ -109,17 +109,21 @@ class F2Basis:
 
 def reduce(vectors: Iterable[int], n: int) -> F2Basis:
     """Canonical (RREF, increasing pivots) basis of the span of ``vectors``."""
+    _check_qubits(n)
+    # each row's pivot as a mask, its lowest set bit: a pivot test is one AND
+    masks: list[int] = []
     rows: list[int] = []
     for v in vectors:
         _check_vector(v, n)
-        for r in rows:
-            if (v >> _pivot(r)) & 1:
+        for m, r in zip(masks, rows):
+            if v & m:
                 v ^= r
         if v:
-            p = _pivot(v)
-            rows = [r ^ v if (r >> p) & 1 else r for r in rows]
-            rows.append(v)
-            rows.sort(key=_pivot)
+            m = v & -v
+            rows = [r ^ v if r & m else r for r in rows]
+            k = bisect(masks, m)
+            masks.insert(k, m)
+            rows.insert(k, v)
     return F2Basis(n, tuple(rows))
 
 
@@ -131,7 +135,7 @@ def reduce_mod(v: int, basis: F2Basis) -> int:
     """
     _check_vector(v, basis.n)
     for r in basis.rows:
-        if (v >> _pivot(r)) & 1:
+        if v & r & -r:
             v ^= r
     return v
 
@@ -193,16 +197,20 @@ def twisted_kernel(generators: Sequence[int], n: int) -> F2Basis:
     With independent generators the kernel has dimension 2n - len(generators);
     dependent input still yields the correct kernel (rank is what counts).
     """
-    constraints = reduce((swap_halves(g, n) for g in generators), n)
-    pivots = {_pivot(r) for r in constraints.rows}
+    for g in generators:
+        _check_vector(g, n)
+    constraints = reduce((swap_halves(g, n) for g in generators), n).rows
+    masks = [r & -r for r in constraints]
+    pivots = sum(masks)  # distinct bits, so the sum is their union
     basis = []
     for f in range(2 * n):
-        if f in pivots:
+        bit = 1 << f
+        if pivots & bit:
             continue
-        v = 1 << f
-        for r in constraints.rows:
-            if (r >> f) & 1:
-                v |= 1 << _pivot(r)
+        v = bit
+        for m, r in zip(masks, constraints):
+            if r & bit:
+                v |= m
         basis.append(v)
     return reduce(basis, n)
 
@@ -327,6 +335,23 @@ def enumerate_isotropic(n: int, d: int) -> Iterator[F2Basis]:
             yield F2Basis(n, tuple(rows))
 
 
+def _cut_orthogonal(rows: list[int], sv: int) -> None:
+    """Cut span(rows) to the part twisted-orthogonal to v, in place.
+
+    ``sv`` is ``swap_halves(v, n)``.  The rows must be in the form
+    :func:`echelon` returns: fully reduced, top-bit echelon, ascending.
+    The first row b anticommuting with v is XORed into every later
+    anticommuting row and dropped.  Every other top stays with its row and
+    b's top leaves with b, so the rows keep that form, which is unique to
+    their span; rows before b are untouched.  One pass, O(len(rows)).
+    """
+    for j, b in enumerate(rows):
+        if (b & sv).bit_count() & 1:
+            del rows[j]
+            rows[j:] = [r ^ b if (r & sv).bit_count() & 1 else r for r in rows[j:]]
+            return
+
+
 def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Extend independent, mutually twisted-orthogonal vectors to a
     Lagrangian (dimension-n isotropic) basis.
@@ -335,9 +360,15 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
     vector (as an int) that is twisted-orthogonal to every row so far and
     outside their span, so the completion is deterministic.  By the
     ordering fact in :func:`echelon` that vector is the first row of the
-    kernel's top-bit echelon basis outside the current span, so each step
-    costs O(n^2) row operations rather than a scan of the 2^(2n-len)
-    kernel vectors.
+    kernel's top-bit echelon basis outside the current span.
+
+    The kernel of the input rows is computed and brought to that form
+    once; each added v then cuts it to its part orthogonal to v with
+    :func:`_cut_orthogonal`, which leaves it in the form :func:`echelon`
+    would give the new kernel.  The span so far is kept as a reduced basis
+    that each added vector is inserted into, and kernel rows found inside
+    it are not tested again.  Beyond the O(d^2) entry checks on d input
+    rows, the whole completion costs O(n^2) row operations.
     """
     out = list(rows)
     base = reduce(out, n)
@@ -350,11 +381,29 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
                     f"rows are not isotropic: {format_vector(u, n)} and "
                     f"{format_vector(v, n)} anticommute"
                 )
+    if len(out) == n:
+        return tuple(out)
+    kernel = list(echelon(twisted_kernel(out, n).rows))
+    # span(out) as a fully reduced basis, with each row's pivot mask
+    span = list(base.rows)
+    masks = [r & -r for r in span]
+    i = 0  # kernel[:i] lies in span(out)
     while len(out) < n:
-        kernel = twisted_kernel(out, n)
-        v = next(r for r in echelon(kernel.rows) if reduce_mod(r, base))
+        v = w = kernel[i]
+        i += 1
+        for m, r in zip(masks, span):
+            if w & m:
+                w ^= r
+        if not w:
+            continue
         out.append(v)
-        base = reduce(out, n)
+        m = w & -w
+        span = [r ^ w if r & m else r for r in span]
+        span.append(w)
+        masks.append(m)
+        # kernel[:i] lies in the isotropic span(out), so commutes with v
+        # and the cut leaves it as it is
+        _cut_orthogonal(kernel, swap_halves(v, n))
     return tuple(out)
 
 
@@ -369,6 +418,7 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
     u_i fail to commute.  A fix at step i cannot disturb earlier steps
     because h_i pairs to zero with every u_m, m != i.
     """
+    _check_qubits(n)
     if len(rows) != n:
         raise ValueError(f"expected {n} rows for a Lagrangian basis, got {len(rows)}")
     base = reduce(rows, n)
@@ -381,21 +431,22 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
     width = 2 * n
     coef_mask = (1 << width) - 1
     # RREF with right-hand-side tracking in the bits above the coefficients
-    red: list[tuple[int, int]] = []  # (augmented row, pivot column)
+    red: list[tuple[int, int]] = []  # (augmented row, pivot mask)
     for i, r in enumerate(rows):
         row = swap_halves(r, n) | (1 << (width + i))
-        for other, p in red:
-            if (row >> p) & 1:
+        for other, m in red:
+            if row & m:
                 row ^= other
-        p = _pivot(row & coef_mask)
-        red = [(o ^ row if (o >> p) & 1 else o, q) for o, q in red]
-        red.append((row, p))
+        coef = row & coef_mask
+        m = coef & -coef
+        red = [(o ^ row if o & m else o, q) for o, q in red]
+        red.append((row, m))
     partners = []
     for l in range(n):
         u = 0
-        for row, p in red:
+        for row, m in red:
             if (row >> (width + l)) & 1:
-                u |= 1 << p
+                u |= m
         partners.append(u)
     for i in range(n):
         sw_i = swap_halves(partners[i], n)

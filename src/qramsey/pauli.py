@@ -135,6 +135,8 @@ def hermitian_rep(v: int, n: int) -> PauliOperator:
     This is the operator whose string form carries no sign prefix; its
     phase exponent equals the number of Y letters mod 4.
     """
+    if n < 1:
+        raise ValueError(f"qubit count must be positive, got {n}")
     if v < 0 or v >> (2 * n):
         raise ValueError(f"vector {v:#x} does not fit in F_2^{2 * n}")
     x = v & ((1 << n) - 1)

@@ -156,6 +156,13 @@ class TestReduce:
 
 
 class TestTwistedKernel:
+    def test_out_of_range_generator_rejected(self):
+        # bit 9 lies outside F_2^4; swapping halves would silently drop it
+        with pytest.raises(ValueError, match="does not fit"):
+            f2.twisted_kernel([1 << 9], 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            f2.twisted_kernel([1, -1], 2)
+
     def test_single_z_generator(self):
         # n=1, generator (0|1): kernel is {0, (0|1)}
         k = f2.twisted_kernel([vec("0", "1")], 1)
@@ -405,6 +412,201 @@ class TestSymplecticPartners:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             f2.symplectic_partners([vec("00", "10")], 2)
+
+
+class TestQubitCount:
+    """Every entry point rejects n < 1, also when it has no vector to check."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: f2.reduce([], 0),
+            lambda: f2.twisted_kernel([], 0),
+            lambda: f2.complete_lagrangian([], 0),
+            lambda: f2.complete_lagrangian([], -3),
+            lambda: f2.symplectic_partners((), 0),
+            lambda: f2.symplectic_partners((), -1),
+        ],
+        ids=[
+            "reduce",
+            "twisted_kernel",
+            "complete_lagrangian_0",
+            "complete_lagrangian_negative",
+            "symplectic_partners_0",
+            "symplectic_partners_negative",
+        ],
+    )
+    def test_nonpositive_rejected(self, call):
+        with pytest.raises(ValueError, match="qubit count must be positive"):
+            call()
+
+
+# -- the row reduction and completion before the mask-based, incremental code;
+# the pinning tests below hold the current f2 to these copies
+
+def _old_pivot(v: int) -> int:
+    return (v & -v).bit_length() - 1
+
+
+def _old_reduce(vectors, n: int) -> f2.F2Basis:
+    rows: list[int] = []
+    for v in vectors:
+        f2._check_vector(v, n)
+        for r in rows:
+            if (v >> _old_pivot(r)) & 1:
+                v ^= r
+        if v:
+            p = _old_pivot(v)
+            rows = [r ^ v if (r >> p) & 1 else r for r in rows]
+            rows.append(v)
+            rows.sort(key=_old_pivot)
+    return f2.F2Basis(n, tuple(rows))
+
+
+def _old_reduce_mod(v: int, basis: f2.F2Basis) -> int:
+    f2._check_vector(v, basis.n)
+    for r in basis.rows:
+        if (v >> _old_pivot(r)) & 1:
+            v ^= r
+    return v
+
+
+def _old_twisted_kernel(generators, n: int) -> f2.F2Basis:
+    constraints = _old_reduce((f2.swap_halves(g, n) for g in generators), n)
+    pivots = {_old_pivot(r) for r in constraints.rows}
+    basis = []
+    for f in range(2 * n):
+        if f in pivots:
+            continue
+        v = 1 << f
+        for r in constraints.rows:
+            if (r >> f) & 1:
+                v |= 1 << _old_pivot(r)
+        basis.append(v)
+    return _old_reduce(basis, n)
+
+
+def _old_complete_lagrangian(rows, n: int) -> tuple[int, ...]:
+    # one kernel rebuild, echelon pass and span reduction per added vector
+    out = list(rows)
+    base = _old_reduce(out, n)
+    if base.dim != len(out):
+        raise ValueError("rows are dependent")
+    for i, u in enumerate(out):
+        for v in out[i:]:
+            if f2.twisted_dot(u, v, n):
+                raise ValueError("rows are not isotropic")
+    while len(out) < n:
+        kernel = _old_twisted_kernel(out, n)
+        v = next(r for r in f2.echelon(kernel.rows) if _old_reduce_mod(r, base))
+        out.append(v)
+        base = _old_reduce(out, n)
+    return tuple(out)
+
+
+def _sampled_isotropic_rows(rng: random.Random, n: int, d: int) -> list[int]:
+    # rejection sampling: no 2^(2n - d) kernel span, so n = 12 stays cheap
+    rows: list[int] = []
+    while len(rows) < d:
+        v = rng.randrange(1, 1 << (2 * n))
+        if all(f2.twisted_dot(v, r, n) == 0 for r in rows) and (
+            f2.reduce((*rows, v), n).dim > len(rows)
+        ):
+            rows.append(v)
+    return rows
+
+
+def _low_weight_vectors(n: int) -> list[int]:
+    """Check vectors of every weight-1 and weight-2 Pauli on n qubits."""
+    out = []
+    for w in (1, 2):
+        for qubits in itertools.combinations(range(n), w):
+            for letters in itertools.product(((1, 0), (0, 1), (1, 1)), repeat=w):
+                v = 0
+                for q, (x, z) in zip(qubits, letters):
+                    v |= (x << q) | (z << (q + n))
+                out.append(v)
+    return out
+
+
+def _random_vectors(rng: random.Random, n: int) -> list[int]:
+    # zero, repeats and dependent sums come up often at this size
+    return [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(0, 2 * n + 3))]
+
+
+class TestCutOrthogonal:
+    def test_matches_echelon_of_orthogonal_part(self):
+        # against the definition: echelon() of every span vector commuting
+        # with v; v = 0 and other v commuting with every row change nothing
+        rng = random.Random(71)
+        for _ in range(400):
+            n = rng.randrange(1, 5)
+            rows = list(f2.echelon(_random_vectors(rng, n)))
+            v = rng.choice([0, rng.randrange(1 << (2 * n))])
+            expected = f2.echelon(
+                x for x in f2.F2Basis(n, tuple(rows)).span() if not f2.twisted_dot(x, v, n)
+            )
+            f2._cut_orthogonal(rows, f2.swap_halves(v, n))
+            assert tuple(rows) == expected, (n, v)
+
+
+class TestPinnedToPerStepCode:
+    def test_complete_lagrangian_on_isotropic_starts(self):
+        rng = random.Random(53)
+        for n in range(1, 13):
+            for d in range(n + 1):
+                for _ in range(3):
+                    start = _sampled_isotropic_rows(rng, n, d)
+                    assert f2.complete_lagrangian(start, n) == _old_complete_lagrangian(
+                        start, n
+                    ), (n, start)
+
+    def test_complete_lagrangian_on_low_weight_starts(self):
+        # sparse starts leave many kernel rows inside the span, so the
+        # membership test and the skip over rows already in the span both work
+        rng = random.Random(59)
+        for n in range(2, 13):
+            for _ in range(4):
+                start: list[int] = []
+                for _ in range(rng.randrange(0, n + 1)):
+                    q = rng.randrange(n)
+                    v = (1 << q) << (n * rng.randrange(2))
+                    if f2.reduce((*start, v), n).dim > len(start) and all(
+                        f2.twisted_dot(v, r, n) == 0 for r in start
+                    ):
+                        start.append(v)
+                assert f2.complete_lagrangian(start, n) == _old_complete_lagrangian(
+                    start, n
+                ), (n, start)
+
+    def test_reduce_kernel_and_reduce_mod_on_random_sets(self):
+        rng = random.Random(61)
+        for _ in range(600):
+            n = rng.randrange(1, 13)
+            vecs = _random_vectors(rng, n)
+            basis = f2.reduce(vecs, n)
+            assert basis == _old_reduce(vecs, n)
+            gens = vecs[: rng.randrange(0, 2 * n + 1)]
+            assert f2.twisted_kernel(gens, n) == _old_twisted_kernel(gens, n)
+            for v in [*vecs, rng.randrange(1 << (2 * n))]:
+                assert f2.reduce_mod(v, basis) == _old_reduce_mod(v, basis)
+
+    def test_classify_json_matches_per_step_completion(self, monkeypatch):
+        from qramsey import channel, ramsey
+        from qramsey.pauli import hermitian_rep
+
+        rng = random.Random(67)
+        channels = []
+        for n in range(6, 17):
+            pool = _low_weight_vectors(n)
+            for _ in range(2):
+                noise = [0, *rng.sample(pool, 2 * n)]
+                channels.append(channel.from_noise([hermitian_rep(v, n) for v in noise], n=n))
+        new = [ramsey.classify(ch).to_json_dict() for ch in channels]
+        monkeypatch.setattr(f2, "complete_lagrangian", _old_complete_lagrangian)
+        old = [ramsey.classify(ch).to_json_dict() for ch in channels]
+        assert new == old
+        assert {d["verdict"] for d in new} <= {"Clique", "Anticlique"}
 
 
 def _random_isotropic_rows(rng: random.Random, n: int, d: int) -> list[int]:

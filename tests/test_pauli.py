@@ -246,3 +246,9 @@ class TestHermitianRep:
         for v in range(64):
             op = hermitian_rep(v, 3)
             assert op.multiply(op) == identity(3)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_qubit_count_rejected(self, n):
+        # as identity(n) does; v = 0 fits any width, so only n can fail
+        with pytest.raises(ValueError, match="qubit count must be positive"):
+            hermitian_rep(0, n)
