@@ -1,18 +1,24 @@
 """Brute-force dense-matrix verifier for the symplectic decision layer.
 
 Nothing in this module consults check vectors: noise quotients are formed
-with dense matrix products, code projectors with the product formula, and
-dimensions with singular values of honest Gram matrices.  Agreement with
-the bit-level routines is therefore evidence that both are right, which
-is the whole point.  Everything is deterministic given the seed.
+with dense matrix products, the code from the product formula for its
+projector, and dimensions with singular values of honest Gram matrices.
+Agreement with the bit-level routines is therefore evidence that both are
+right, which is the whole point.  Everything is deterministic given the
+seed.
 
-The hot paths are batched: the quotient stack is one broadcast ``matmul``,
-the scalar test reduces every compression at once over its matrix axes,
-and privacy sampling draws all pairs in one call and reads every overlap
-from one ``einsum``.  Privacy works in code coordinates: with V the
-orthonormal code basis from ``eigh`` of the projector, each quotient Q is
-reduced to V^+ Q V, so the sampled pairs and temporaries have the code's
-dimension 2^k rather than 2^n.
+Every code predicate reads one compression, in code coordinates: with V
+the orthonormal code basis from ``eigh`` of the projector P = V V^+, each
+quotient Q becomes the 2^k x 2^k matrix V^+ Q V instead of the
+2^n x 2^n matrix P Q P.  Nothing is lost.  Tr((PAP)^+ PBP) equals
+Tr((V^+AV)^+ V^+BV), so both Gram matrices are one matrix; P Q P = cP
+exactly when V^+ Q V = cI, with equal Frobenius residuals; and the scalar
+Tr(PQP)/Tr(P) is Tr(V^+QV)/2^k.
+
+The hot paths are batched: the quotient stack and its compression are
+broadcast ``matmul`` calls, the scalar test reduces every compression at
+once over its matrix axes, and privacy sampling draws all pairs in one
+call and reads every overlap from one ``einsum``.
 """
 
 from __future__ import annotations
@@ -56,94 +62,80 @@ def _dense(op: PauliOperator) -> np.ndarray:
     return m
 
 
-# A verifier reuses a projector only within one (channel, code) report, so a
+# A verifier reuses a code basis only within one (channel, code) report, so a
 # small bound keeps a long-running verifier's memory flat.
 @lru_cache(maxsize=256)
-def _projector(group: StabilizerGroup) -> np.ndarray:
-    p = projector(group)
-    p.flags.writeable = False
-    return p
+def _code_basis(group: StabilizerGroup) -> np.ndarray:
+    """V, the (2^n, 2^k) orthonormal basis of the code, with V V^+ = P."""
+    values, vectors = np.linalg.eigh(projector(group))
+    v = vectors[:, values > 0.5]
+    v.flags.writeable = False
+    return v
 
 
-def _quotient_stack(ch: PauliChannel, limit: int) -> np.ndarray:
+def _quotient_stack(ch: PauliChannel) -> np.ndarray:
     """All m^2 products E_i^+ E_j as an (m^2, dim, dim) array."""
-    if ch.n > limit:
-        raise CapacityError(f"dense oracle limited to {limit} qubits, got {ch.n}")
+    if ch.n > DENSE_QUBIT_LIMIT:
+        raise CapacityError(
+            f"dense oracle limited to {DENSE_QUBIT_LIMIT} qubits, got {ch.n}"
+        )
     ops = np.stack([_dense(op) for op in ch.operators])
     prods = ops.conj().transpose(0, 2, 1)[:, None] @ ops[None]
     return prods.reshape(-1, *prods.shape[2:])
 
 
-def _compress(p: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Every P Q P for Q in the stack, as batched matrix products."""
-    return p @ stack @ p
+def _code_quotients(group: StabilizerGroup, stack: np.ndarray) -> np.ndarray:
+    """Every V^+ Q V for Q in the stack, as a (len(stack), 2^k, 2^k) array."""
+    v = _code_basis(group)
+    return v.conj().T @ stack @ v
 
 
-def _gram_rank(stack: np.ndarray, tolerance: float) -> GramRankResult:
+def _gram_rank(stack: np.ndarray) -> GramRankResult:
     flat = stack.reshape(stack.shape[0], -1)
     gram = flat.conj() @ flat.T
     values = np.linalg.svd(gram, compute_uv=False)
     top = values[0] if len(values) else 0.0
-    rank = 0 if top <= 0 else int(np.count_nonzero(values > tolerance * top))
+    rank = 0 if top <= 0 else int(np.count_nonzero(values > RANK_TOLERANCE * top))
     return GramRankResult(rank, tuple(float(v) for v in values))
 
 
+def _scalars(compressed: np.ndarray) -> np.ndarray | None:
+    """The scalars c with V^+ Q V = c I for every Q, or None if one is not scalar.
+
+    c is read off as the trace over 2^k; the residual is compared in
+    Frobenius norm relative to the compression's own scale.
+    """
+    dim = compressed.shape[1]
+    scalars = np.trace(compressed, axis1=1, axis2=2) / dim
+    residuals = np.linalg.norm(
+        compressed - scalars[:, None, None] * np.eye(dim), axis=(1, 2)
+    )
+    scales = np.maximum(1.0, np.linalg.norm(compressed, axis=(1, 2)))
+    return None if (residuals > SCALAR_TOLERANCE * scales).any() else scalars
+
+
 def dense_compressed_dimension(
-    ch: PauliChannel,
-    group: StabilizerGroup,
-    limit: int = DENSE_QUBIT_LIMIT,
-    tolerance: float = RANK_TOLERANCE,
+    ch: PauliChannel, group: StabilizerGroup
 ) -> GramRankResult:
     """Rank of the Gram matrix of {P E_i^+ E_j P} under Tr(A^+ B)."""
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    compressed = _compress(_projector(group), _quotient_stack(ch, limit))
-    return _gram_rank(compressed, tolerance)
+    return _gram_rank(_code_quotients(group, _quotient_stack(ch)))
 
 
-def dense_graph_dimension(
-    ch: PauliChannel,
-    limit: int = DENSE_QUBIT_LIMIT,
-    tolerance: float = RANK_TOLERANCE,
-) -> GramRankResult:
+def dense_graph_dimension(ch: PauliChannel) -> GramRankResult:
     """Uncompressed span dimension of {E_i^+ E_j}."""
-    return _gram_rank(_quotient_stack(ch, limit), tolerance)
+    return _gram_rank(_quotient_stack(ch))
 
 
-def kl_check(
-    ch: PauliChannel,
-    group: StabilizerGroup,
-    limit: int = DENSE_QUBIT_LIMIT,
-    tolerance: float = SCALAR_TOLERANCE,
-) -> bool:
-    """Error-correction condition: every P E_i^+ E_j P is a scalar times P.
-
-    The scalar is read off as Tr(compression)/Tr(P); the residual is
-    compared in Frobenius norm relative to the compression's own scale.
-    """
+def kl_check(ch: PauliChannel, group: StabilizerGroup) -> bool:
+    """Error-correction condition: every P E_i^+ E_j P is a scalar times P."""
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    p = _projector(group)
-    compressed = _compress(p, _quotient_stack(ch, limit))
-    return _compression_scalars(p, compressed, tolerance) is not None
+    return _scalars(_code_quotients(group, _quotient_stack(ch))) is not None
 
 
-def _compression_scalars(
-    p: np.ndarray, compressed: np.ndarray, tolerance: float
-) -> np.ndarray | None:
-    """The scalars c with P Q P = c P for every Q, or None if one is not scalar."""
-    scalars = np.trace(compressed, axis1=1, axis2=2) / np.trace(p).real
-    residuals = np.linalg.norm(compressed - scalars[:, None, None] * p, axis=(1, 2))
-    scales = np.maximum(1.0, np.linalg.norm(compressed, axis=(1, 2)))
-    return None if (residuals > tolerance * scales).any() else scalars
-
-
-def dense_maximal_check(
-    ch: PauliChannel,
-    group: StabilizerGroup,
-    limit: int = DENSE_QUBIT_LIMIT,
-    tolerance: float = RANK_TOLERANCE,
-) -> bool:
+def dense_maximal_check(ch: PauliChannel, group: StabilizerGroup) -> bool:
     """Whether the channel's noise algebra is that of ``group``, maximally.
 
     Requires group to be maximal (n generators).  Checks densely that the
@@ -157,21 +149,15 @@ def dense_maximal_check(
         raise ValueError(
             f"group has {group.num_generators} generators, need {group.n} for maximal"
         )
-    stack = _quotient_stack(ch, limit)
-    if _gram_rank(stack, tolerance).rank != 1 << ch.n:
+    stack = _quotient_stack(ch)
+    if _gram_rank(stack).rank != 1 << ch.n:
         return False
-    p = _projector(group)
-    scalars = _compression_scalars(p, _compress(p, stack), SCALAR_TOLERANCE)
+    scalars = _scalars(_code_quotients(group, stack))
     return scalars is not None and bool((np.abs(scalars) > SCALAR_TOLERANCE).all())
 
 
 def private_witness_check(
-    ch: PauliChannel,
-    group: StabilizerGroup,
-    samples: int = 100,
-    seed: int = 0,
-    limit: int = DENSE_QUBIT_LIMIT,
-    tolerance: float = SCALAR_TOLERANCE,
+    ch: PauliChannel, group: StabilizerGroup, samples: int = 100, seed: int = 0
 ) -> bool:
     """Sampled privacy test: every orthogonal code pair sees some noise overlap.
 
@@ -194,13 +180,10 @@ def private_witness_check(
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
     if group.k < 1:
         raise ValueError("code dimension is 1; privacy needs an orthogonal pair")
-    quotients = _quotient_stack(ch, limit)
-    values, vectors = np.linalg.eigh(_projector(group))
-    code = vectors[:, values > 0.5]
-    reduced = code.conj().T @ quotients @ code
-    a, b = _code_pairs(np.random.default_rng(seed), samples, code.shape[1])
+    reduced = _code_quotients(group, _quotient_stack(ch))
+    a, b = _code_pairs(np.random.default_rng(seed), samples, reduced.shape[1])
     overlaps = np.einsum("sa,qab,sb->sq", a.conj(), reduced, b, optimize=True)
-    return bool((np.abs(overlaps) > tolerance).any(axis=1).all())
+    return bool((np.abs(overlaps) > SCALAR_TOLERANCE).any(axis=1).all())
 
 
 def _code_pairs(

@@ -301,28 +301,16 @@ def _commuting_anticlique_candidate(
     return _group_from_rows(partners[:-1], n)
 
 
-def _noncommuting_clique_candidate(checks: list[int], n: int) -> StabilizerGroup:
-    """Clique candidate for noise with an anticommuting pair.
+def _noncommuting_clique_candidate(h: int, g: int, n: int) -> StabilizerGroup:
+    """Clique candidate for noise with the anticommuting check pair (h, g).
 
-    Completes the first anticommuting check vector h to a Lagrangian and
-    repairs each later basis vector that anticommutes with its partner g
-    by adding h; the repaired rows generate the candidate.  The candidate
-    is guaranteed when h and g themselves lie in the difference set, which
-    holds when ``checks`` contains 0: then h = h ^ 0 and g = g ^ 0 are
-    differences.  ``classify`` shifts the checks so that it does.
+    Completes h to a Lagrangian and repairs each later basis vector that
+    anticommutes with g by adding h; the repaired rows generate the
+    candidate.  The candidate is guaranteed when h and g themselves lie in
+    the difference set, which holds when the checks contain 0: then
+    h = h ^ 0 and g = g ^ 0 are differences.  ``classify`` shifts the
+    checks so that they do, and passes their first anticommuting pair.
     """
-    pair = next(
-        (
-            (a, b)
-            for i, a in enumerate(checks)
-            for b in checks[i + 1 :]
-            if f2.twisted_dot(a, b, n)
-        ),
-        None,
-    )
-    if pair is None:
-        raise RuntimeError("no anticommuting pair among the noise operators")
-    h, g = pair
     rows = []
     for v in f2.complete_lagrangian((h,), n)[1:]:
         rows.append(v ^ h if f2.twisted_dot(v, g, n) else v)
@@ -422,13 +410,16 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
         )
     checks = sorted({op.check_vector() for op in ch.operators})
     shifted = sorted(c ^ checks[0] for c in checks)
-    if all(f2.twisted_dot(a, b, n) == 0 for a, b in combinations(shifted, 2)):
+    pair = next(
+        ((a, b) for a, b in combinations(shifted, 2) if f2.twisted_dot(a, b, n)), None
+    )
+    if pair is None:
         candidate = _commuting_anticlique_candidate(shifted, diffs, n)
         if is_anticlique(ch, candidate):
             return ClassificationResult("Anticlique", candidate, 1, 0)
         kind = "anticlique"
     else:
-        candidate = _noncommuting_clique_candidate(shifted, n)
+        candidate = _noncommuting_clique_candidate(*pair, n)
         if is_clique(ch, candidate):
             return ClassificationResult(
                 "Clique", candidate, 1 << (2 * candidate.k), 0

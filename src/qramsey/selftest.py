@@ -158,7 +158,7 @@ def check_centralizer_dimension(max_n: int = 3) -> CheckResult:
     return _result(
         "centralizer dimension n+k",
         failures,
-        f"{total} stabilizer groups over all isotropic subspaces, n<=3, exact",
+        f"{total} stabilizer groups over all isotropic subspaces, n<={max_n}, exact",
     )
 
 
@@ -339,12 +339,14 @@ def check_sign_invariance(cases: int = 50, seed: int = 0) -> CheckResult:
     )
 
 
-def check_completion_lemmas(cases: int = 100, seed: int = 0) -> CheckResult:
+def check_completion_lemmas(
+    cases: int = 100, seed: int = 0, max_n: int = 4
+) -> CheckResult:
     """extend_to_maximal and anticommuting_partners meet their postconditions."""
     failures: list[str] = []
     rng = random.Random(seed)
     for case in range(cases):
-        n = rng.randrange(1, 5)
+        n = rng.randrange(1, max_n + 1)
         group = _random_group(rng, n)
         full = stabilizer.extend_to_maximal(group)
         if tuple(full[: group.num_generators]) != group.generators:
@@ -375,7 +377,7 @@ def check_completion_lemmas(cases: int = 100, seed: int = 0) -> CheckResult:
     return _result(
         "completion lemmas",
         failures,
-        f"{cases} random completions at n<=4: prefixes kept, delta commutation "
+        f"{cases} random completions at n<={max_n}: prefixes kept, delta commutation "
         "pattern exact, combined rank 2n",
     )
 
@@ -434,12 +436,12 @@ def _plan(exhaustive: bool, seed: int, cap: int) -> dict[Callable, dict]:
         return {
             check_pauli_algebra: dict(seed=seed, max_n=min(3, cap)),
             check_centralizer_dimension: dict(max_n=min(3, cap)),
-            check_oracle_equivalence: dict(seed=seed),
-            check_main_theorem: dict(seed=seed),
+            check_oracle_equivalence: dict(seed=seed, n3_cases=200 if cap >= 3 else 0),
+            check_main_theorem: dict(seed=seed, n3_cases=10 if cap >= 3 else 0),
             check_trichotomy: dict(seed=seed),
             check_correctability_equivalence: dict(),
             check_sign_invariance: dict(seed=seed),
-            check_completion_lemmas: dict(seed=seed),
+            check_completion_lemmas: dict(seed=seed, max_n=min(4, cap)),
             check_private_codes: dict(seed=seed),
         }
     return {
@@ -452,7 +454,7 @@ def _plan(exhaustive: bool, seed: int, cap: int) -> dict[Callable, dict]:
         check_trichotomy: dict(seed=seed, mask_sample=1500),
         check_correctability_equivalence: dict(max_subset_size=2),
         check_sign_invariance: dict(cases=15, seed=seed),
-        check_completion_lemmas: dict(cases=25, seed=seed),
+        check_completion_lemmas: dict(cases=25, seed=seed, max_n=min(4, cap)),
         check_private_codes: dict(
             samples=25, seed=seed, subsample=0.05, mask_sample=1500
         ),

@@ -308,6 +308,38 @@ class TestSelftest:
             "all passed",
         ]
 
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_cap_bounds_every_sampled_n(self, exhaustive):
+        plan = selftest._plan(exhaustive, seed=0, cap=2)
+        assert plan[selftest.check_pauli_algebra]["max_n"] == 2
+        assert plan[selftest.check_centralizer_dimension]["max_n"] == 2
+        assert plan[selftest.check_oracle_equivalence]["n3_cases"] == 0
+        assert plan[selftest.check_main_theorem]["n3_cases"] == 0
+        assert plan[selftest.check_completion_lemmas]["max_n"] == 2
+
+    def test_default_cap_keeps_the_acceptance_strength(self):
+        plan = selftest._plan(True, seed=0, cap=4)
+        assert plan[selftest.check_oracle_equivalence]["n3_cases"] == 200
+        assert plan[selftest.check_main_theorem]["n3_cases"] == 10
+        assert plan[selftest.check_completion_lemmas]["max_n"] == 4
+
+    def test_capped_details_name_the_n_that_ran(self, monkeypatch):
+        drawn = []
+        random_group = selftest._random_group
+
+        def spy(rng, n, *args, **kwargs):
+            drawn.append(n)
+            return random_group(rng, n, *args, **kwargs)
+
+        monkeypatch.setattr(selftest, "_random_group", spy)
+        result = selftest.check_completion_lemmas(cases=30, seed=0, max_n=2)
+        assert result.passed
+        assert "at n<=2:" in result.detail
+        assert set(drawn) == {1, 2}
+        result = selftest.check_centralizer_dimension(max_n=2)
+        assert result.passed
+        assert "n<=2," in result.detail
+
 
 class TestParser:
     def test_missing_subcommand(self, capsys):

@@ -39,6 +39,7 @@ def random_group(rng, n, d=None):
 
 
 MAXIMAL_X = channel.maximal_stabilizer_channel(stabilizer.from_string("XI,IX"))
+LIMIT_MESSAGE = "dense oracle limited to 4 qubits, got 5"
 
 
 class TestDenseCompressedDimension:
@@ -78,7 +79,7 @@ class TestDenseCompressedDimension:
             )
 
     def test_capacity_limit(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=LIMIT_MESSAGE):
             oracle.dense_compressed_dimension(
                 channel.from_noise([identity(5)]), stabilizer.validate([], n=5)
             )
@@ -93,6 +94,44 @@ class TestDenseCompressedDimension:
                 oracle.dense_compressed_dimension(ch, group).rank
                 == ramsey.compressed_dimension(ch, group)
             )
+
+
+def z_group(n, d):
+    """The group generated by Z on each of the first d of n qubits."""
+    return stabilizer.from_string(
+        ",".join("I" * i + "Z" + "I" * (n - i - 1) for i in range(d))
+    )
+
+
+CODE_FUNCTIONS = pytest.mark.parametrize(
+    "name, maximal",
+    [
+        ("dense_compressed_dimension", False),
+        ("kl_check", False),
+        ("dense_maximal_check", True),
+        ("private_witness_check", False),
+    ],
+)
+
+
+class TestEntryChecks:
+    """Every dense function keeps its qubit limit and its size check."""
+
+    @CODE_FUNCTIONS
+    def test_capacity_limit(self, name, maximal):
+        group = z_group(5, 5 if maximal else 1)
+        with pytest.raises(CapacityError, match=LIMIT_MESSAGE):
+            getattr(oracle, name)(channel.from_noise([identity(5)]), group)
+
+    def test_graph_dimension_capacity_limit(self):
+        with pytest.raises(CapacityError, match=LIMIT_MESSAGE):
+            oracle.dense_graph_dimension(channel.from_noise([identity(5)]))
+
+    @CODE_FUNCTIONS
+    def test_size_mismatch(self, name, maximal):
+        group = z_group(3, 3 if maximal else 1)
+        with pytest.raises(ValueError, match="qubits"):
+            getattr(oracle, name)(make_channel("II", "XI"), group)
 
 
 class TestDenseGraphDimension:
@@ -228,6 +267,14 @@ def loop_scalars(ch, group):
     return scalars
 
 
+def loop_gram_rank(ch, group):
+    """Rank and singular values of the Gram matrix of the 2^n x 2^n P Q P."""
+    p = stabilizer.projector(group)
+    flat = np.array([(p @ q @ p).ravel() for q in loop_quotient_stack(ch)])
+    values = np.linalg.svd(flat.conj() @ flat.T, compute_uv=False)
+    return int(np.count_nonzero(values > oracle.RANK_TOLERANCE * values[0])), values
+
+
 def loop_maximal_check(ch, group):
     if oracle.dense_graph_dimension(ch).rank != 1 << ch.n:
         return False
@@ -287,9 +334,40 @@ def random_pairs(seed, count, max_n=4):
 class TestBatchedAgainstLoops:
     def test_quotient_stack_is_exact(self):
         for ch, _ in random_pairs(37, 30):
-            batched = oracle._quotient_stack(ch, ch.n)
+            batched = oracle._quotient_stack(ch)
             assert batched.shape == (len(ch.operators) ** 2, 1 << ch.n, 1 << ch.n)
             assert np.array_equal(batched, loop_quotient_stack(ch))
+
+    def test_code_basis_spans_the_code(self):
+        for _, group in random_pairs(57, 40):
+            v = oracle._code_basis(group)
+            assert v.shape == (1 << group.n, 1 << group.k)
+            assert not v.flags.writeable
+            eye = np.eye(1 << group.k)
+            np.testing.assert_allclose(v.conj().T @ v, eye, atol=1e-12)
+            np.testing.assert_allclose(
+                v @ v.conj().T, stabilizer.projector(group), atol=1e-12
+            )
+
+    def test_gram_rank_matches_projector_coordinates(self):
+        pairs = list(random_pairs(59, 80))
+        # the k = 0 and the full-space code at every n, beside the random codes
+        rng = random.Random(61)
+        for n in range(1, 5):
+            for d in (n, 0):
+                ch = random_channel(rng, n, max_ops=9)
+                pairs.append((ch, random_group(rng, n, d)))
+        ranks = set()
+        for ch, group in pairs:
+            result = oracle.dense_compressed_dimension(ch, group)
+            rank, values = loop_gram_rank(ch, group)
+            assert result.rank == rank
+            ranks.add(rank)
+            np.testing.assert_allclose(
+                result.singular_values, values, rtol=0,
+                atol=oracle.RANK_TOLERANCE * values[0],
+            )
+        assert len(ranks) > 3
 
     def test_kl_check_matches_the_loop(self):
         verdicts = []

@@ -40,6 +40,13 @@ def random_group(rng, n, d=None):
     return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
 
 
+def first_anticommuting_pair(checks, n):
+    """The pair classify hands its clique builder, or None if all commute."""
+    return next(
+        ((a, b) for a, b in combinations(checks, 2) if f2.twisted_dot(a, b, n)), None
+    )
+
+
 MAXIMAL_X = channel.maximal_stabilizer_channel(stabilizer.from_string("XI,IX"))
 FULL_P2 = channel.from_noise([hermitian_rep(v, 2) for v in range(16)])
 
@@ -300,9 +307,10 @@ class TestClassify:
         n = 6
         vectors = random.Random(2).sample(range(1, 1 << (2 * n)), 4)
         checks = sorted(vectors)
-        assert any(f2.twisted_dot(a, b, n) for a, b in combinations(checks, 2))
+        pair = first_anticommuting_pair(checks, n)
+        assert pair is not None
         ch = channel.from_noise([hermitian_rep(v, n) for v in vectors], n=n)
-        unshifted = ramsey._noncommuting_clique_candidate(checks, n)
+        unshifted = ramsey._noncommuting_clique_candidate(*pair, n)
         assert not ramsey.is_clique(ch, unshifted)
         result = ramsey.classify(ch)
         assert result.tag == "Clique"
@@ -470,7 +478,9 @@ class TestConstructionInternals:
     def test_noncommuting_candidate_shape(self):
         ch = make_channel("II", "XI", "ZI")
         checks = sorted({op.check_vector() for op in ch.operators})
-        cand = ramsey._noncommuting_clique_candidate(checks, 2)
+        cand = ramsey._noncommuting_clique_candidate(
+            *first_anticommuting_pair(checks, 2), 2
+        )
         assert cand.num_generators == 1
         # candidate generators commute with the first anticommuting check
         for g in cand.generators:
