@@ -22,9 +22,8 @@ to hide.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -156,21 +155,33 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
     return True
 
 
-# -- batched candidate machinery for the exhaustive search ------------------
+# -- quotient walk for the exhaustive search ----------------------------------
 #
-# search tests every isotropic subspace against every difference vector.
-# f2.enumerate_isotropic generates the candidates of one (n, d) once each,
-# in canonical order; their data (basis rows, their pivots and their
-# swapped halves, which are the commutation masks) is stored once per
-# (n, d) as uint64 arrays, and only as arrays, so one numpy pass per k
-# counts the cosets of all candidates.  A witness record is fixed by
-# (n, d, candidate, kind), so each candidate keeps the SearchWitness built
-# on its first hit as each kind, and later searches gather them with one
-# fancy index.  A candidate's two records share one stabilizer group,
-# built from its array row and validated once per process.
+# search counts, for every isotropic subspace R, the cosets of R in R^⊥ that
+# the difference set W hits.  f2.enumerate_isotropic generates the
+# candidates of one (n, d) once each, in canonical order, and each
+# candidate R' = R + v has exactly one canonical parent R one level up.
+# Every level is stored once per (n, d), and only as arrays: the basis
+# rows, the parent's index, and three channel-independent arrays for the
+# quotient R'^⊥/R'.  Its canonical coset representatives are the vectors
+# of R'^⊥ clear at the pivots of R', in ascending order ("reps"); they are
+# exactly the parent's representatives x that commute with v and are
+# clear at v's pivot, and "lift" holds their positions among the parent's.
+# The parent's representatives form a subspace whose ascending order is
+# linear in the position (see f2.echelon), so x ⊕ v sits at lift ^ offset,
+# "offset" being v's position.  As x + R' is the union of x + R and
+# x ⊕ v + R, the cosets of R' that W hits follow from the parent's by two
+# gathers and an OR, whatever |W| is: a search marks W in one boolean row
+# of width 4^n and walks down the levels, each candidate's count being its
+# row's sum.  A witness record is fixed by (n, d, candidate, kind), so each
+# candidate keeps the SearchWitness built on its first hit as each kind,
+# and later searches gather them with one fancy index.  A candidate's two
+# records share one stabilizer group, built from its array row and
+# validated once per process.
 
-# elements per chunk of the batched coset count; bounds its temporaries
-_CHUNK_ELEMENTS = 1 << 16
+# elements per chunk of a level's build and of its walk step; bounds their
+# temporaries
+_LEVEL_CHUNK = 1 << 16
 
 # record columns of _Candidates, indexed by kind
 _KINDS = ("anticlique", "clique")
@@ -179,9 +190,11 @@ _KINDS = ("anticlique", "clique")
 @dataclass(eq=False, slots=True)
 class _Candidates:
     n: int
-    rows: np.ndarray
-    pivots: np.ndarray
-    swaps: np.ndarray
+    rows: np.ndarray  # uint64 (count, d): canonical basis rows
+    parents: np.ndarray  # intp (count,): the canonical parent's index one level up
+    reps: np.ndarray  # (count, 4^k): ascending coset representatives of R^⊥/R
+    lift: np.ndarray  # (count, 4^k): their positions among the parent's reps
+    offset: np.ndarray  # (count,): position of the last row among the parent's reps
     records: np.ndarray  # object (count, 2): SearchWitness per kind
     built: np.ndarray  # bool (count, 2): which records exist
 
@@ -205,55 +218,99 @@ class _Candidates:
 _SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
 
 
-def _candidates(n: int, d: int) -> _Candidates:
-    key = (n, d)
-    if key not in _SUBSPACE_CACHE:
-        row_list = [basis.rows for basis in f2.enumerate_isotropic(n, d)]
-        count = len(row_list)
-        rows = np.array(row_list, dtype=np.uint64).reshape(count, d)
-        lowest_bit = rows & (~rows + 1)
-        _SUBSPACE_CACHE[key] = _Candidates(
-            n,
-            rows,
-            np.bitwise_count(lowest_bit - 1).astype(np.uint64),
-            f2.swap_halves(rows, n),
-            np.empty((count, 2), dtype=object),
-            np.zeros((count, 2), dtype=bool),
-        )
-    return _SUBSPACE_CACHE[key]
+def _packed(rows: np.ndarray, n: int) -> np.ndarray:
+    """One uint64 key per row tuple, ordered as the tuples; 2n bits a row.
 
-
-def _coset_counts(diffs: Sequence[int], cands: _Candidates) -> np.ndarray:
-    """compressed_dimension of every candidate at once, in candidate order.
-
-    A difference v hits a candidate when it commutes with every row, that
-    is when the parity of bitwise_count(v & swap) is even for every swapped
-    row.  That parity is tabulated once for every possible swapped row, so
-    a candidate's hit mask costs one lookup per row.  Only the hits are
-    reduced by the pivot rows in order, and the distinct representatives
-    are counted by marking them in a boolean row of width 2^{2n} per
-    candidate, padded to whole uint64 words whose bits are then counted.
+    Parents have at most n - 2 rows, so the keys fit for n <= 6.
     """
-    v0 = np.asarray(diffs, dtype=np.uint64)
-    width = 1 << (2 * cands.n)
-    every = np.arange(width, dtype=np.uint64)
-    commutes = (np.bitwise_count(every[:, None] & v0) & 1) == 0
-    padded = -(-width // 8) * 8  # whole uint64 words per mark row
-    step = max(1, _CHUNK_ELEMENTS // width)
-    counts = np.empty(len(cands), dtype=np.int64)
-    for lo in range(0, len(cands), step):
-        hi = min(lo + step, len(cands))
-        rows, pivots, swaps = cands.rows[lo:hi], cands.pivots[lo:hi], cands.swaps[lo:hi]
-        hit = np.ones((hi - lo, v0.size), dtype=bool)
-        for s in swaps.T:
-            hit &= commutes[s]
-        c, i = np.divmod(np.flatnonzero(hit), v0.size)
-        v = v0[i]
-        for r, p in zip(rows.T, pivots.T):
-            v ^= ((v >> p[c]) & 1) * r[c]
-        marks = np.zeros((hi - lo, padded), dtype=bool)
-        marks[c, v] = True
-        counts[lo:hi] = np.bitwise_count(marks.view(np.uint64)).sum(axis=1)
+    key = np.zeros(len(rows), dtype=np.uint64)
+    for column in rows.T:
+        key = (key << np.uint64(2 * n)) | column
+    return key
+
+
+def _candidates(n: int, d: int) -> _Candidates:
+    """Level d of the walk, built from level d - 1 on first use.
+
+    Level 0 is the zero subspace, whose representatives are all of
+    F_2^{2n}; its lift is the identity on the marked row of W, and its
+    offset 0, so the walk starts there like every other level.
+    """
+    key = (n, d)
+    if key in _SUBSPACE_CACHE:
+        return _SUBSPACE_CACHE[key]
+    if 2 * n * max(d - 1, 0) > 64:
+        raise CapacityError(f"parent keys of level {d} at n={n} exceed 64 bits")
+    # every basis row straight into one array, with no list of tuples between
+    flat = np.fromiter(chain.from_iterable(f2.enumerate_isotropic(n, d)), np.uint64)
+    rows = flat.reshape(-1, d) if d else np.zeros((1, 0), dtype=np.uint64)
+    count = len(rows)
+    dtype = np.min_scalar_type((1 << (2 * n)) - 1)
+    if d == 0:
+        parents = np.zeros(1, dtype=np.intp)
+        reps = np.arange(1 << (2 * n), dtype=dtype)[None]
+        lift, offset = reps, np.zeros(1, dtype=dtype)
+    else:
+        up = _candidates(n, d - 1)
+        parents = np.searchsorted(_packed(up.rows, n), _packed(rows[:, :-1], n))
+        width = up.reps.shape[1]
+        reps = np.empty((count, width // 4), dtype=dtype)
+        lift = np.empty((count, width // 4), dtype=dtype)
+        offset = np.empty(count, dtype=dtype)
+        v = rows[:, -1].astype(dtype)
+        swapped = f2.swap_halves(v, n)
+        pivot = v & (~v + dtype.type(1))
+        step = max(1, _LEVEL_CHUNK // width)
+        for lo in range(0, count, step):
+            part = slice(lo, lo + step)
+            x = up.reps[parents[part]]
+            keep = (np.bitwise_count(x & swapped[part, None]) & 1) == 0
+            keep &= (x & pivot[part, None]) == 0
+            reps[part] = x[keep].reshape(-1, width // 4)
+            lift[part] = (np.flatnonzero(keep) & (width - 1)).reshape(-1, width // 4)
+            offset[part] = np.argmax(x == v[part, None], axis=1)
+    level = _Candidates(
+        n,
+        rows,
+        parents,
+        reps,
+        lift,
+        offset,
+        np.empty((count, 2), dtype=object),
+        np.zeros((count, 2), dtype=bool),
+    )
+    _SUBSPACE_CACHE[key] = level
+    return level
+
+
+def _coset_counts(diffs: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
+    """compressed_dimension of every candidate at d = 0..depth, in order.
+
+    ``diffs`` holds the difference set's vectors.  ``hit`` has one boolean
+    row per candidate of a level, over its representatives: whether W
+    meets that coset.  Rows are 4^k wide, a power of two, so a parent's
+    row start ORed with ``lift`` is a flat index into the parent level,
+    and ``offset`` XORs into it.  A row's count is the bit count of its
+    bytes read as 32-bit words.
+    """
+    hit = np.zeros((1, 1 << (2 * n)), dtype=bool)
+    hit[0, diffs] = True
+    counts = []
+    for d in range(depth + 1):
+        level = _candidates(n, d)
+        width = hit.shape[1]
+        flat = hit.ravel()
+        hit = np.empty(level.lift.shape, dtype=bool)
+        step = max(1, _LEVEL_CHUNK // hit.shape[1])
+        for lo in range(0, len(level), step):
+            part = slice(lo, lo + step)
+            at = level.lift[part].astype(np.intp)
+            at |= level.parents[part, None] * width
+            np.take(flat, at, out=hit[part])
+            at ^= level.offset[part, None]
+            hit[part] |= flat[at]
+        words = np.bitwise_count(hit.view(np.uint32))  # 4^k bytes, k >= 1
+        counts.append(np.einsum("ij->i", words, dtype=np.intp))
     return counts
 
 
@@ -328,9 +385,10 @@ def search(
 ) -> SearchReport:
     """Enumerate every nontrivial stabilizer code and record all witnesses.
 
-    For each requested k the compressed dimension of every (n-k)-dimensional
-    isotropic subspace is counted in one batched pass, and the witnesses
-    are reported in canonical subspace order with the plus-signed group.
+    One quotient walk counts the compressed dimension of every isotropic
+    subspace down to the deepest requested dimension n - k, and the
+    witnesses are reported in canonical subspace order with the
+    plus-signed group.
     Witness records are memoized per candidate and kind: each is built on
     the candidate's first hit as that kind and returned again, as the same
     object, by later searches in the same process; a candidate's
@@ -356,14 +414,15 @@ def search(
         bad = [k for k in ks if k < 1 or k > n]
         if bad:
             raise ValueError(f"k must lie in 1..{n}, got {bad[0]}")
-    diffs = np.array(sorted(difference_set(ch)), dtype=np.uint64)
+    diffs = np.fromiter(difference_set(ch), dtype=np.intp)
+    all_counts = _coset_counts(diffs, n, n - ks[0])
     witnesses: list[SearchWitness] = []
     examined: list[tuple[int, int]] = []
     for k in ks:
         cands = _candidates(n, n - k)
         examined.append((k, len(cands)))
         full = 1 << (2 * k)
-        counts = _coset_counts(diffs, cands)
+        counts = all_counts[n - k]
         wanted = np.zeros(len(cands), dtype=bool)
         if mode != "clique":
             wanted |= counts == 1

@@ -93,6 +93,15 @@ def _small_subsets(n: int, max_size: int):
         yield from combinations(vectors, size)
 
 
+def _capped(n: int) -> str:
+    """Detail suffix naming the qubit count a capped run covered.
+
+    Criteria whose full-strength detail does not name n run on n = 2; a
+    run capped below that says so, and full strength keeps its detail.
+    """
+    return "" if n >= 2 else f"; capped at n={n}"
+
+
 def _code_candidates(n: int) -> list[stabilizer.StabilizerGroup]:
     """Every nontrivial code candidate: isotropic subspaces with k >= 1."""
     groups = []
@@ -163,21 +172,21 @@ def check_centralizer_dimension(max_n: int = 3) -> CheckResult:
 
 
 def check_oracle_equivalence(
-    seed: int = 0, max_subset_size: int = 4, n3_cases: int = 200
+    seed: int = 0, max_subset_size: int = 4, n3_cases: int = 200, n: int = 2
 ) -> CheckResult:
-    """compressed_dimension == dense Gram rank, exhaustive n=2 + sampled n=3."""
+    """compressed_dimension == dense Gram rank, exhaustive at n + sampled n=3."""
     failures: list[str] = []
-    candidates = _code_candidates(2)
+    candidates = _code_candidates(n)
     exhaustive = 0
-    for subset in _small_subsets(2, max_subset_size):
-        ch = _subset_channel(subset, 2)
+    for subset in _small_subsets(n, max_subset_size):
+        ch = _subset_channel(subset, n)
         for group in candidates:
             exhaustive += 1
             fast = ramsey.compressed_dimension(ch, group)
             dense = oracle.dense_compressed_dimension(ch, group).rank
             if fast != dense:
                 failures.append(
-                    f"n=2 noise {[str(o) for o in ch.operators]} vs {group}: "
+                    f"n={n} noise {[str(o) for o in ch.operators]} vs {group}: "
                     f"{fast} != {dense}"
                 )
     rng = random.Random(seed)
@@ -194,18 +203,19 @@ def check_oracle_equivalence(
     return _result(
         "compressed dimension vs dense Gram rank",
         failures,
-        f"{exhaustive} exhaustive n=2 cases and {n3_cases} random n=3 cases, exact",
+        f"{exhaustive} exhaustive n={n} cases and {n3_cases} random n=3 cases, exact",
     )
 
 
-def check_main_theorem(seed: int = 0, n3_cases: int = 10) -> CheckResult:
+def check_main_theorem(seed: int = 0, n3_cases: int = 10, n: int = 2) -> CheckResult:
     """Maximal stabilizer channels admit no nontrivial witness, any k."""
     failures: list[str] = []
     examined = 0
     groups = [
-        stabilizer.validate([hermitian_rep(v, 2) for v in basis.rows], n=2)
-        for basis in f2.enumerate_isotropic(2, 2)
+        stabilizer.validate([hermitian_rep(v, n) for v in basis.rows], n=n)
+        for basis in f2.enumerate_isotropic(n, n)
     ]
+    lagrangians = len(groups)
     rng = random.Random(seed)
     for _ in range(n3_cases):
         groups.append(_random_group(rng, 3, 3))
@@ -221,8 +231,8 @@ def check_main_theorem(seed: int = 0, n3_cases: int = 10) -> CheckResult:
     return _result(
         "maximal stabilizer channels have no witnesses",
         failures,
-        f"all 15 Lagrangians at n=2 plus {n3_cases} random maximal stabilizers "
-        f"at n=3; {examined} candidate codes examined, zero witnesses",
+        f"all {lagrangians} Lagrangians at n={n} plus {n3_cases} random maximal "
+        f"stabilizers at n=3; {examined} candidate codes examined, zero witnesses",
     )
 
 
@@ -230,22 +240,23 @@ def check_trichotomy(
     seed: int = 0,
     subsample: float = 0.01,
     mask_sample: int | None = None,
+    n: int = 2,
 ) -> CheckResult:
-    """classify never answers Inconsistent over all 65,535 n=2 channels.
+    """classify never answers Inconsistent over every n-qubit channel.
 
-    A seeded fraction of the verdicts is re-verified densely.  With
-    mask_sample set, only that many randomly chosen channels are run
-    (the CLI's quick mode).
+    At n = 2 those are 65,535 channels.  A seeded fraction of the verdicts
+    is re-verified densely.  With mask_sample set, only that many randomly
+    chosen channels are run (the CLI's quick mode).
     """
     failures: list[str] = []
     rng = random.Random(seed)
-    masks: list[int] = list(range(1, 1 << 16))
+    masks: list[int] = list(range(1, 1 << (1 << (2 * n))))
     if mask_sample is not None:
         masks = sorted(rng.sample(masks, min(mask_sample, len(masks))))
     tags = {"Anticlique": 0, "Clique": 0, "MaximalStabilizerChannel": 0}
     reverified = 0
     for mask in masks:
-        ch = _mask_channel(mask, 2)
+        ch = _mask_channel(mask, n)
         result = ramsey.classify(ch)
         if result.tag == "Inconsistent":
             failures.append(
@@ -267,7 +278,7 @@ def check_trichotomy(
         f"{tags['Clique']} cliques, {tags['MaximalStabilizerChannel']} maximal; "
         f"{reverified} verdicts re-verified densely"
     )
-    return _result("trichotomy over every n=2 channel", failures, detail)
+    return _result(f"trichotomy over every n={n} channel", failures, detail)
 
 
 def dense_verdict_check(ch: PauliChannel, result: ramsey.ClassificationResult) -> bool:
@@ -281,13 +292,15 @@ def dense_verdict_check(ch: PauliChannel, result: ramsey.ClassificationResult) -
     return False
 
 
-def check_correctability_equivalence(max_subset_size: int = 4) -> CheckResult:
-    """gottesman_correctable == is_anticlique == kl_check, exhaustively at n=2."""
+def check_correctability_equivalence(
+    max_subset_size: int = 4, n: int = 2
+) -> CheckResult:
+    """gottesman_correctable == is_anticlique == kl_check, exhaustively at n."""
     failures: list[str] = []
-    candidates = _code_candidates(2)
+    candidates = _code_candidates(n)
     total = 0
-    for subset in _small_subsets(2, max_subset_size):
-        ch = _subset_channel(subset, 2)
+    for subset in _small_subsets(n, max_subset_size):
+        ch = _subset_channel(subset, n)
         for group in candidates:
             total += 1
             gottesman = ramsey.gottesman_correctable(ch, group)
@@ -301,17 +314,20 @@ def check_correctability_equivalence(max_subset_size: int = 4) -> CheckResult:
     return _result(
         "correctability criteria agree",
         failures,
-        f"{total} (channel, code) cases: gottesman == anticlique == KL throughout",
+        f"{total} (channel, code) cases: gottesman == anticlique == KL throughout"
+        + _capped(n),
     )
 
 
-def check_sign_invariance(cases: int = 50, seed: int = 0) -> CheckResult:
+def check_sign_invariance(
+    cases: int = 50, seed: int = 0, max_n: int = 2
+) -> CheckResult:
     """Generator signs move the projector but never the compressed rank."""
     failures: list[str] = []
     rng = random.Random(seed)
     checked = 0
     for _ in range(cases):
-        n = rng.randrange(1, 3)
+        n = rng.randrange(1, max_n + 1)
         ch = _random_channel(rng, n, 5)
         group = _random_group(rng, n, rng.randrange(1, n + 1), signs=False)
         base = oracle.dense_compressed_dimension(ch, group).rank
@@ -335,7 +351,7 @@ def check_sign_invariance(cases: int = 50, seed: int = 0) -> CheckResult:
         "sign invariance of the compressed rank",
         failures,
         f"{checked} single-sign flips over {cases} random (channel, code) cases; "
-        "projector always changed, dense rank never did",
+        "projector always changed, dense rank never did" + _capped(max_n),
     )
 
 
@@ -387,17 +403,18 @@ def check_private_codes(
     seed: int = 0,
     subsample: float = 0.01,
     mask_sample: int | None = None,
+    n: int = 2,
 ) -> CheckResult:
     """Every sampled clique witness is a private code at the sampled pairs."""
     failures: list[str] = []
     rng = random.Random(seed)
-    masks: list[int] = list(range(1, 1 << 16))
+    masks: list[int] = list(range(1, 1 << (1 << (2 * n))))
     if mask_sample is not None:
         masks = sorted(rng.sample(masks, min(mask_sample, len(masks))))
     selected = [m for m in masks if rng.random() < subsample]
     cliques = 0
     for mask in selected:
-        ch = _mask_channel(mask, 2)
+        ch = _mask_channel(mask, n)
         result = ramsey.classify(ch)
         if result.tag != "Clique":
             continue
@@ -413,7 +430,7 @@ def check_private_codes(
         "clique witnesses are private codes",
         failures,
         f"{cliques} clique witnesses from {len(selected)} sampled channels, "
-        f"{samples} orthogonal pairs each, all pairs saw noise overlap",
+        f"{samples} orthogonal pairs each, all pairs saw noise overlap" + _capped(n),
     )
 
 
@@ -431,34 +448,47 @@ CRITERIA: tuple[tuple[int, Callable[..., CheckResult]], ...] = (
 
 
 def _plan(exhaustive: bool, seed: int, cap: int) -> dict[Callable, dict]:
-    """Keyword arguments per criterion: acceptance strength or quick."""
+    """Keyword arguments per criterion: acceptance strength or quick.
+
+    ``cap`` bounds every qubit count a criterion touches; the exhaustive
+    two-qubit criteria run at n = 1 when it is below 2.
+    """
+    n2 = min(2, cap)
     if exhaustive:
-        return {
+        plan = {
             check_pauli_algebra: dict(seed=seed, max_n=min(3, cap)),
             check_centralizer_dimension: dict(max_n=min(3, cap)),
-            check_oracle_equivalence: dict(seed=seed, n3_cases=200 if cap >= 3 else 0),
-            check_main_theorem: dict(seed=seed, n3_cases=10 if cap >= 3 else 0),
-            check_trichotomy: dict(seed=seed),
-            check_correctability_equivalence: dict(),
-            check_sign_invariance: dict(seed=seed),
+            check_oracle_equivalence: dict(
+                seed=seed, n3_cases=200 if cap >= 3 else 0, n=n2
+            ),
+            check_main_theorem: dict(seed=seed, n3_cases=10 if cap >= 3 else 0, n=n2),
+            check_trichotomy: dict(seed=seed, n=n2),
+            check_correctability_equivalence: dict(n=n2),
+            check_sign_invariance: dict(seed=seed, max_n=n2),
             check_completion_lemmas: dict(seed=seed, max_n=min(4, cap)),
-            check_private_codes: dict(seed=seed),
+            check_private_codes: dict(seed=seed, n=n2),
         }
-    return {
-        check_pauli_algebra: dict(pairs=100, seed=seed, max_n=min(3, cap)),
-        check_centralizer_dimension: dict(max_n=min(3, cap)),
-        check_oracle_equivalence: dict(
-            seed=seed, max_subset_size=2, n3_cases=20 if cap >= 3 else 0
-        ),
-        check_main_theorem: dict(seed=seed, n3_cases=3 if cap >= 3 else 0),
-        check_trichotomy: dict(seed=seed, mask_sample=1500),
-        check_correctability_equivalence: dict(max_subset_size=2),
-        check_sign_invariance: dict(cases=15, seed=seed),
-        check_completion_lemmas: dict(cases=25, seed=seed, max_n=min(4, cap)),
-        check_private_codes: dict(
-            samples=25, seed=seed, subsample=0.05, mask_sample=1500
-        ),
-    }
+    else:
+        plan = {
+            check_pauli_algebra: dict(pairs=100, seed=seed, max_n=min(3, cap)),
+            check_centralizer_dimension: dict(max_n=min(3, cap)),
+            check_oracle_equivalence: dict(
+                seed=seed, max_subset_size=2, n3_cases=20 if cap >= 3 else 0, n=n2
+            ),
+            check_main_theorem: dict(seed=seed, n3_cases=3 if cap >= 3 else 0, n=n2),
+            check_trichotomy: dict(seed=seed, mask_sample=1500, n=n2),
+            check_correctability_equivalence: dict(max_subset_size=2, n=n2),
+            check_sign_invariance: dict(cases=15, seed=seed, max_n=n2),
+            check_completion_lemmas: dict(cases=25, seed=seed, max_n=min(4, cap)),
+            check_private_codes: dict(
+                samples=25, seed=seed, subsample=0.05, mask_sample=1500, n=n2
+            ),
+        }
+    if cap < 2:
+        # there are only 15 one-qubit channels: re-verify and sample them all
+        plan[check_trichotomy]["subsample"] = 1.0
+        plan[check_private_codes]["subsample"] = 1.0
+    return plan
 
 
 def run(

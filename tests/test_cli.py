@@ -340,6 +340,64 @@ class TestSelftest:
         assert result.passed
         assert "n<=2," in result.detail
 
+    def test_cap_one_runs_no_two_qubit_case(self, monkeypatch):
+        # every channel a criterion builds or searches reaches one of these
+        seen = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(ch, *args, **kwargs):
+                seen.append(ch.n)
+                return real(ch, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("classify", "search", "compressed_dimension",
+                     "gottesman_correctable"):
+            spy(ramsey, name)
+        for name in ("dense_compressed_dimension", "kl_check",
+                     "private_witness_check"):
+            spy(selftest.oracle, name)
+        for exhaustive in (False, True):
+            seen.clear()
+            results = dict(selftest.run(exhaustive=exhaustive, max_n=1))
+            assert all(r.passed for r in results.values())
+            assert seen and set(seen) == {1}
+            assert "exhaustive n=1 cases" in results[3].detail
+            assert "all 3 Lagrangians at n=1" in results[4].detail
+            assert results[5].name == "trichotomy over every n=1 channel"
+            assert "15 channels classified" in results[5].detail
+            assert "15 verdicts re-verified densely" in results[5].detail
+            for number in (6, 7, 9):
+                assert results[number].detail.endswith("; capped at n=1")
+            assert "from 15 sampled channels" in results[9].detail
+
+    def test_default_run_details_are_unchanged(self):
+        # the quick default run names n=2 where it always did, and nothing
+        # more; pinned from the run before the cap reached these criteria
+        results = dict(selftest.run())
+        assert all(r.passed for r in results.values())
+        pinned = [results[number] for number in (3, 4, 5, 6, 7, 9)]
+        assert [(r.name, r.detail) for r in pinned] == [
+            ("compressed dimension vs dense Gram rank",
+             "2176 exhaustive n=2 cases and 20 random n=3 cases, exact"),
+            ("maximal stabilizer channels have no witnesses",
+             "all 15 Lagrangians at n=2 plus 3 random maximal stabilizers at n=3; "
+             "1377 candidate codes examined, zero witnesses"),
+            ("trichotomy over every n=2 channel",
+             "1500 channels classified: 5 anticliques, 1488 cliques, 7 maximal; "
+             "16 verdicts re-verified densely"),
+            ("correctability criteria agree",
+             "2176 (channel, code) cases: gottesman == anticlique == KL throughout"),
+            ("sign invariance of the compressed rank",
+             "20 single-sign flips over 15 random (channel, code) cases; "
+             "projector always changed, dense rank never did"),
+            ("clique witnesses are private codes",
+             "87 clique witnesses from 90 sampled channels, 25 orthogonal pairs "
+             "each, all pairs saw noise overlap"),
+        ]
+
 
 class TestParser:
     def test_missing_subcommand(self, capsys):

@@ -214,6 +214,12 @@ class TestSearch:
         with pytest.raises(CapacityError):
             ramsey.search(channel.from_noise([identity(5)]), "both")
 
+    def test_level_keys_must_fit_in_64_bits(self):
+        # parents are found by 2n bits per row; at n = 7 level 6's parents
+        # would need 70, and the level is refused before it is enumerated
+        with pytest.raises(CapacityError, match="64 bits"):
+            ramsey._candidates(7, 6)
+
     def test_json_shape(self):
         doc = ramsey.search(make_channel("XI", "ZI"), "both", [1]).to_json_dict()
         assert doc["channel"] == {"n": 2, "noise": ["XI", "ZI"]}
@@ -387,12 +393,12 @@ class TestConstructionInternals:
     """The two proof procedures, checked on their own postconditions."""
 
     def test_batched_coset_counts_match_compressed_dimension(self, monkeypatch):
-        # search counts cosets for all candidates at once; it must agree
-        # with compressed_dimension on every candidate of every k, not only
-        # on the witnesses it reports.  Small chunks put chunk boundaries
-        # inside the candidate arrays and inside the single-candidate d=0 case.
+        # search walks the counts of all candidates down the levels; every
+        # count at every d must agree with compressed_dimension, not only
+        # the witnesses it reports.  The levels are rebuilt with small
+        # chunks, which put chunk boundaries inside the level builds and
+        # the walk steps, and must give the same arrays.
         rng = random.Random(29)
-        # every n=1 channel: its 4-wide mark rows are padded to a uint64 word
         paulis = [hermitian_rep(v, 1) for v in range(4)]
         cases = [
             (1, channel.from_noise(list(ops)))
@@ -404,21 +410,81 @@ class TestConstructionInternals:
         cases += [(3, random_channel(rng, 3, 8)) for _ in range(5)]
         expected = {}
         for c, (n, ch) in enumerate(cases):
-            for k in range(1, n + 1):
-                cands = ramsey._candidates(n, n - k)
-                expected[c, k] = [
+            for d in range(n):
+                expected[c, d] = [
                     ramsey.compressed_dimension(
                         ch, ramsey._group_from_rows(tuple(rows), n)
                     )
-                    for rows in cands.rows.tolist()
+                    for rows in ramsey._candidates(n, d).rows.tolist()
                 ]
-        for chunk in (ramsey._CHUNK_ELEMENTS, 1, 37):
-            monkeypatch.setattr(ramsey, "_CHUNK_ELEMENTS", chunk)
+        built = dict(ramsey._SUBSPACE_CACHE)
+        for chunk in (ramsey._LEVEL_CHUNK, 1, 37):
+            monkeypatch.setattr(ramsey, "_LEVEL_CHUNK", chunk)
+            monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
             for c, (n, ch) in enumerate(cases):
-                diffs = tuple(sorted(channel.difference_set(ch)))
-                for k in range(1, n + 1):
-                    counts = ramsey._coset_counts(diffs, ramsey._candidates(n, n - k))
-                    assert counts.tolist() == expected[c, k], (chunk, n, k)
+                diffs = np.fromiter(channel.difference_set(ch), dtype=np.intp)
+                counts = ramsey._coset_counts(diffs, n, n - 1)
+                assert len(counts) == n
+                for d in range(n):
+                    assert counts[d].tolist() == expected[c, d], (chunk, n, d)
+            for key, level in ramsey._SUBSPACE_CACHE.items():
+                for name in ("rows", "parents", "reps", "lift", "offset"):
+                    assert np.array_equal(
+                        getattr(level, name), getattr(built[key], name)
+                    ), (chunk, key, name)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_walk_counts_closed_forms(self, n):
+        # the identity channel hits one coset of every code, the full Pauli
+        # channel all 4^k of them
+        identity_counts = ramsey._coset_counts(np.array([0]), n, n - 1)
+        full_counts = ramsey._coset_counts(np.arange(1 << (2 * n)), n, n - 1)
+        for d in range(n):
+            size = len(ramsey._candidates(n, d))
+            assert identity_counts[d].tolist() == [1] * size
+            assert full_counts[d].tolist() == [4 ** (n - d)] * size
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_walk_counts_on_maximal_channels_are_two_to_the_k(self, n):
+        # the difference set of a maximal channel is a Lagrangian L, which
+        # meets every code R's centralizer R^⊥ in n - d + j dimensions,
+        # j = dim(L ∩ R), and L ∩ R lies in R: so every count is 2^k,
+        # neither 1 nor 4^k
+        rng = random.Random(100 + n)
+        for _ in range(3):
+            ch = channel.maximal_stabilizer_channel(random_group(rng, n, n))
+            diffs = np.fromiter(channel.difference_set(ch), dtype=np.intp)
+            counts = ramsey._coset_counts(diffs, n, n - 1)
+            for d in range(n):
+                assert set(counts[d].tolist()) == {2 ** (n - d)}, (n, d)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lift_and_offset_pick_x_and_x_plus_v(self, n):
+        # the representatives of R' = R + v are the parent's that commute
+        # with v and are clear at v's pivot; lift finds each such x among
+        # the parent's, lift ^ offset finds x ⊕ v, and offset finds v
+        for d in range(1, n):
+            level = ramsey._candidates(n, d)
+            up = ramsey._candidates(n, d - 1)
+            assert np.array_equal(up.rows[level.parents], level.rows[:, :-1])
+            parent_reps = up.reps[level.parents].astype(np.int64)
+            x = np.take_along_axis(parent_reps, level.lift.astype(np.intp), 1)
+            v = level.rows[:, -1].astype(np.int64)
+            assert np.array_equal(x, level.reps)
+            shifted = level.lift ^ level.offset[:, None]
+            assert np.array_equal(
+                np.take_along_axis(parent_reps, shifted.astype(np.intp), 1),
+                x ^ v[:, None],
+            )
+            offset = level.offset.astype(np.intp)[:, None]
+            assert np.array_equal(np.take_along_axis(parent_reps, offset, 1)[:, 0], v)
+            assert (np.diff(level.lift.astype(np.int64), axis=1) > 0).all()
+            # the representatives are exactly R^⊥ cleared at R's pivots
+            for i in random.Random(d).sample(range(len(level)), min(20, len(level))):
+                basis = f2.reduce(level.rows[i].tolist(), n)
+                kernel = f2.twisted_kernel(list(basis.rows), n)
+                want = sorted({f2.reduce_mod(u, basis) for u in kernel.span()})
+                assert level.reps[i].tolist() == want
 
     def test_witness_groups_are_validated_once(self, validate_calls):
         ch = make_channel("III", "XII", "ZII", "IYI", "IIZ")
