@@ -195,13 +195,11 @@ def graph_dimension(channel: PauliChannel) -> int:
     return len(difference_set(channel))
 
 
-def apply_dense(
-    channel: PauliChannel, rho: np.ndarray, limit: int = DENSE_QUBIT_LIMIT
-) -> np.ndarray:
+def apply_dense(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the channel to a density matrix."""
-    if channel.n > limit:
+    if channel.n > DENSE_QUBIT_LIMIT:
         raise CapacityError(
-            f"dense application limited to {limit} qubits, got {channel.n}"
+            f"dense application limited to {DENSE_QUBIT_LIMIT} qubits, got {channel.n}"
         )
     dim = 1 << channel.n
     rho = np.asarray(rho, dtype=complex)
@@ -209,7 +207,7 @@ def apply_dense(
         raise ValueError(f"expected a {dim}x{dim} density matrix, got {rho.shape}")
     out = np.zeros_like(rho)
     for op, w in channel.noise:
-        e = op.to_dense(limit)
+        e = op.to_dense()
         out += w * (e @ rho @ e.conj().T)
     return out
 

@@ -34,7 +34,6 @@ __all__ = [
     "echelon",
     "ascending_span",
     "twisted_kernel",
-    "extend_basis",
     "coset_count",
     "enumerate_isotropic",
     "complete_lagrangian",
@@ -82,11 +81,9 @@ def format_vector(v: int, n: int) -> str:
 class F2Basis:
     """Independent vectors spanning a subspace of F_2^{2n}.
 
-    Bases built by :func:`reduce` are canonical: reduced row echelon form
-    with strictly increasing pivot columns, so two reduce()-built bases
-    compare equal iff they span the same subspace.  Bases produced by
-    :func:`extend_basis` keep their caller-visible row order instead and
-    are only guaranteed independent.
+    Every basis this module returns is canonical: reduced row echelon form
+    with strictly increasing pivot columns, so two such bases compare equal
+    iff they span the same subspace.
     """
 
     n: int
@@ -213,36 +210,6 @@ def twisted_kernel(generators: Sequence[int], n: int) -> F2Basis:
                 v |= m
         basis.append(v)
     return reduce(basis, n)
-
-
-def extend_basis(partial: F2Basis, candidates: Iterable[int]) -> F2Basis:
-    """Extend ``partial`` to a basis of span(candidates), greedily.
-
-    Candidates are tried in increasing order; the result keeps the partial
-    rows first, then the chosen extensions.  Raises if span(candidates)
-    does not contain span(partial).
-    """
-    n = partial.n
-    cand = sorted({c for c in candidates})
-    for c in cand:
-        _check_vector(c, n)
-    if reduce(partial.rows, n).dim != len(partial.rows):
-        raise ValueError("partial basis is dependent")
-    target = reduce(cand, n)
-    for row in partial.rows:
-        if not in_span(row, target):
-            raise ValueError(
-                f"candidates do not suffice: {format_vector(row, n)} is outside their span"
-            )
-    rows = list(partial.rows)
-    work = reduce(rows, n)
-    for c in cand:
-        if len(rows) == target.dim:
-            break
-        if reduce_mod(c, work):
-            rows.append(c)
-            work = reduce(rows, n)
-    return F2Basis(n, tuple(rows))
 
 
 def coset_count(hits: Iterable[int], sub: F2Basis) -> int:

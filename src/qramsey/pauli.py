@@ -100,11 +100,11 @@ class PauliOperator:
             self.z | (other.z << self.n),
         )
 
-    def to_dense(self, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix; entries are exact in {0, +-1, +-i}."""
-        if self.n > limit:
+        if self.n > DENSE_QUBIT_LIMIT:
             raise CapacityError(
-                f"dense conversion limited to {limit} qubits, got {self.n}"
+                f"dense conversion limited to {DENSE_QUBIT_LIMIT} qubits, got {self.n}"
             )
         m = np.array([[_PHASES[self.phase % 4]]], dtype=complex)
         for j in range(self.n):

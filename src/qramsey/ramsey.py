@@ -96,9 +96,6 @@ class SearchReport:
     examined: tuple[tuple[int, int], ...]
     witnesses: tuple[SearchWitness, ...]
 
-    def examined_for(self, k: int) -> int:
-        return dict(self.examined)[k]
-
     @property
     def total_examined(self) -> int:
         return sum(count for _, count in self.examined)
@@ -341,11 +338,12 @@ def _commuting_anticlique_candidate(
     Extends the span of the check vectors, which holds every difference,
     to a Lagrangian L, picks the smallest vector w (as an int) in L missing
     from the difference set (one exists whenever the maximal case failed),
-    and takes the symplectic partners of a basis of L that has w last.
-    Every difference vector then either anticommutes with some partner or
-    is zero, so the candidate compresses the noise to scalars.  L is walked
-    in ascending order without being built, so finding w takes at most
-    |diffs| + 1 steps, not the 2^n of the whole Lagrangian.
+    and takes the symplectic partners of a basis of L that has w last: L's
+    rows in ascending order, less the first row whose prefix spans w, then
+    w.  Every difference vector then either anticommutes with some partner
+    or is zero, so the candidate compresses the noise to scalars.  L is
+    walked in ascending order without being built, so finding w takes at
+    most |diffs| + 1 steps, not the 2^n of the whole Lagrangian.
     """
     lag = f2.complete_lagrangian(f2.reduce(checks, n).rows, n)
     w = next((v for v in f2.ascending_span(lag) if v not in diffs), None)
@@ -353,8 +351,9 @@ def _commuting_anticlique_candidate(
         raise RuntimeError(
             "commuting noise fills a Lagrangian but was not caught as maximal"
         )
-    ordered = f2.extend_basis(f2.reduce([w], n), lag).rows
-    partners = f2.symplectic_partners((*ordered[1:], w), n)
+    rows = sorted(lag)
+    j = next(j for j in range(n) if f2.reduce((*rows[: j + 1], w), n).dim == j + 1)
+    partners = f2.symplectic_partners((*rows[:j], *rows[j + 1 :], w), n)
     return _group_from_rows(partners[:-1], n)
 
 

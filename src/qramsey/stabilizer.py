@@ -123,11 +123,13 @@ def to_string(group: StabilizerGroup) -> str:
     return ",".join(str(g) for g in group.generators)
 
 
-def elements(group: StabilizerGroup, limit: int = ELEMENT_LIMIT) -> list[PauliOperator]:
+def elements(group: StabilizerGroup) -> list[PauliOperator]:
     """All 2^m group elements with exact phases, identity first."""
     m = len(group.generators)
-    if m > limit:
-        raise CapacityError(f"element enumeration limited to {limit} generators, got {m}")
+    if m > ELEMENT_LIMIT:
+        raise CapacityError(
+            f"element enumeration limited to {ELEMENT_LIMIT} generators, got {m}"
+        )
     out = [PauliOperator(group.n, 0, 0, 0)]
     for g in group.generators:
         out += [e.multiply(g) for e in out]
@@ -141,20 +143,20 @@ def centralizer_image(group: StabilizerGroup) -> f2.F2Basis:
     )
 
 
-def projector(group: StabilizerGroup, limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
+def projector(group: StabilizerGroup) -> np.ndarray:
     """Dense projector onto the stabilized subspace, (1/2^m) * prod(I + g).
 
     Entries are exact dyadic rationals; the trace equals 2^k.
     """
-    if group.n > limit:
+    if group.n > DENSE_QUBIT_LIMIT:
         raise CapacityError(
-            f"dense projector limited to {limit} qubits, got {group.n}"
+            f"dense projector limited to {DENSE_QUBIT_LIMIT} qubits, got {group.n}"
         )
     dim = 1 << group.n
     eye = np.eye(dim, dtype=complex)
     p = eye.copy()
     for g in group.generators:
-        p = p @ (eye + g.to_dense(limit)) / 2
+        p = p @ (eye + g.to_dense()) / 2
     return p
 
 

@@ -1,0 +1,68 @@
+"""Seeded inputs and reference procedures shared by the test modules.
+
+The seeded helpers draw from the caller's RNG in a fixed order, so a test
+that passes the same seed gets the same channels and groups.
+"""
+
+from collections.abc import Iterable
+
+from qramsey import channel, f2, stabilizer
+from qramsey.pauli import hermitian_rep, parse
+
+
+def make_channel(*ops, n=None):
+    return channel.from_noise([parse(s) for s in ops], n=n)
+
+
+def random_channel(rng, n, max_ops=5):
+    ops = [
+        hermitian_rep(rng.randrange(1 << (2 * n)), n)
+        for _ in range(rng.randrange(1, max_ops))
+    ]
+    return channel.from_noise(ops, n=n)
+
+
+def random_group(rng, n, d=None):
+    if d is None:
+        d = rng.randrange(0, n + 1)
+    rows = []
+    while len(rows) < d:
+        v = rng.randrange(1, 1 << (2 * n))
+        if all(f2.twisted_dot(v, r, n) == 0 for r in rows) and not f2.in_span(
+            v, f2.reduce(rows, n)
+        ):
+            rows.append(v)
+    return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
+
+
+def extend_basis(partial: f2.F2Basis, candidates: Iterable[int]) -> f2.F2Basis:
+    """Extend ``partial`` to a basis of span(candidates), greedily.
+
+    Candidates are tried in increasing order; the result keeps the partial
+    rows first, then the chosen extensions.  Raises if span(candidates)
+    does not contain span(partial).  The reference for the basis of the
+    anticlique construction, which must equal the extension of (w,) by
+    the Lagrangian's rows.
+    """
+    n = partial.n
+    cand = sorted({c for c in candidates})
+    for c in cand:
+        f2._check_vector(c, n)
+    if f2.reduce(partial.rows, n).dim != len(partial.rows):
+        raise ValueError("partial basis is dependent")
+    target = f2.reduce(cand, n)
+    for row in partial.rows:
+        if not f2.in_span(row, target):
+            raise ValueError(
+                f"candidates do not suffice: {f2.format_vector(row, n)} is outside "
+                "their span"
+            )
+    rows = list(partial.rows)
+    work = f2.reduce(rows, n)
+    for c in cand:
+        if len(rows) == target.dim:
+            break
+        if f2.reduce_mod(c, work):
+            rows.append(c)
+            work = f2.reduce(rows, n)
+    return f2.F2Basis(n, tuple(rows))

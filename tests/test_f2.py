@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from qramsey import f2
 
+from helpers import extend_basis
+
 
 def vec(xs: str, zs: str) -> int:
     """Build a packed vector from display strings, qubit 1 leftmost."""
@@ -185,32 +187,34 @@ class TestTwistedKernel:
 
 
 class TestExtendBasis:
+    """The reference greedy extension that the anticlique basis is checked against."""
+
     def test_partial_preserved_and_completed(self):
         partial = f2.F2Basis(2, (vec("10", "00"),))
-        result = f2.extend_basis(partial, range(16))
+        result = extend_basis(partial, range(16))
         assert result.rows[0] == vec("10", "00")
         assert result.dim == 4
         assert f2.reduce(result.rows, 2).dim == 4
 
     def test_empty_partial(self):
-        out = f2.extend_basis(f2.F2Basis(1, ()), [vec("1", "1")])
+        out = extend_basis(f2.F2Basis(1, ()), [vec("1", "1")])
         assert out.rows == (vec("1", "1"),)
 
     def test_full_partial_unchanged(self):
         partial = f2.reduce([1, 2, 4, 8], 2)
-        assert f2.extend_basis(partial, range(16)).rows == partial.rows
+        assert extend_basis(partial, range(16)).rows == partial.rows
 
     def test_insufficient_candidates_rejected(self):
         partial = f2.F2Basis(2, (vec("10", "00"),))
         with pytest.raises(ValueError, match="do not suffice"):
-            f2.extend_basis(partial, [vec("01", "00")])
+            extend_basis(partial, [vec("01", "00")])
 
     def test_greedy_is_smallest_admissible(self):
         rng = random.Random(19)
         for _ in range(100):
             n = rng.randrange(1, 4)
             cand = [rng.randrange(1 << (2 * n)) for _ in range(6)]
-            out = f2.extend_basis(f2.F2Basis(n, ()), cand)
+            out = extend_basis(f2.F2Basis(n, ()), cand)
             # each chosen row is the smallest candidate outside the span so far
             chosen = list(out.rows)
             for i, row in enumerate(chosen):

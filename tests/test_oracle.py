@@ -9,33 +9,10 @@ import random
 import numpy as np
 import pytest
 
-from qramsey import channel, f2, oracle, ramsey, stabilizer
-from qramsey.pauli import CapacityError, hermitian_rep, identity, parse
+from qramsey import channel, oracle, ramsey, stabilizer
+from qramsey.pauli import CapacityError, hermitian_rep, identity
 
-
-def make_channel(*ops, n=None):
-    return channel.from_noise([parse(s) for s in ops], n=n)
-
-
-def random_channel(rng, n, max_ops=5):
-    ops = [
-        hermitian_rep(rng.randrange(1 << (2 * n)), n)
-        for _ in range(rng.randrange(1, max_ops))
-    ]
-    return channel.from_noise(ops, n=n)
-
-
-def random_group(rng, n, d=None):
-    if d is None:
-        d = rng.randrange(0, n + 1)
-    rows = []
-    while len(rows) < d:
-        v = rng.randrange(1, 1 << (2 * n))
-        if all(f2.twisted_dot(v, r, n) == 0 for r in rows) and not f2.in_span(
-            v, f2.reduce(rows, n)
-        ):
-            rows.append(v)
-    return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
+from helpers import make_channel, random_channel, random_group
 
 
 MAXIMAL_X = channel.maximal_stabilizer_channel(stabilizer.from_string("XI,IX"))

@@ -90,9 +90,11 @@ class TestDenseConvention:
         assert np.array_equal(parse("-iZZ").to_dense(), -1j * np.kron(Z, Z))
 
     def test_capacity_bound(self):
-        with pytest.raises(pauli.CapacityError):
+        assert identity(4).to_dense().shape == (16, 16)
+        with pytest.raises(
+            pauli.CapacityError, match="dense conversion limited to 4 qubits, got 5"
+        ):
             identity(5).to_dense()
-        assert identity(5).to_dense(limit=5).shape == (32, 32)
 
 
 class TestParseFormat:

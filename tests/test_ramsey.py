@@ -14,30 +14,7 @@ import pytest
 from qramsey import channel, f2, oracle, ramsey, stabilizer
 from qramsey.pauli import CapacityError, hermitian_rep, identity, parse
 
-
-def make_channel(*ops, n=None):
-    return channel.from_noise([parse(s) for s in ops], n=n)
-
-
-def random_channel(rng, n, max_ops=5):
-    ops = [
-        hermitian_rep(rng.randrange(1 << (2 * n)), n)
-        for _ in range(rng.randrange(1, max_ops))
-    ]
-    return channel.from_noise(ops, n=n)
-
-
-def random_group(rng, n, d=None):
-    if d is None:
-        d = rng.randrange(0, n + 1)
-    rows = []
-    while len(rows) < d:
-        v = rng.randrange(1, 1 << (2 * n))
-        if all(f2.twisted_dot(v, r, n) == 0 for r in rows) and not f2.in_span(
-            v, f2.reduce(rows, n)
-        ):
-            rows.append(v)
-    return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
+from helpers import extend_basis, make_channel, random_channel, random_group
 
 
 def first_anticommuting_pair(checks, n):
@@ -88,6 +65,26 @@ class TestCompressedDimension:
                 ramsey.compressed_dimension(ch, group)
                 == oracle.dense_compressed_dimension(ch, group).rank
             )
+
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_maximal_channels_hit_two_to_the_k_cosets(self, n):
+        # the paper's negative result in closed form: a maximal channel's
+        # difference set is a Lagrangian L, whose hits on a code R are
+        # L ∩ R^⊥ (dimension n - d + j, j = dim(L ∩ R)) modulo L ∩ R, so
+        # every count is 2^k.  Random codes mostly have j = 0, codes cut
+        # from L's generators have j = d.  Each call rebuilds the
+        # 2^n-operator difference set, so n = 12 checks one code.
+        rng = random.Random(n)
+        group = random_group(rng, n, n)
+        ch = channel.maximal_stabilizer_channel(group)
+        ks = range(n + 1) if n < 12 else [rng.randrange(1, n)]
+        for k in ks:
+            codes = [random_group(rng, n, n - k)]
+            if n < 12:
+                codes.append(stabilizer.validate(group.generators[: n - k], n=n))
+            for code in codes:
+                assert ramsey.compressed_dimension(ch, code) == 2**k, (n, k, str(code))
 
 
 class TestCliqueAnticliquePredicates:
@@ -540,6 +537,32 @@ class TestConstructionInternals:
             assert ramsey.is_anticlique(ch, cand)
             built += 1
         assert built > 100
+
+    def test_commuting_candidate_basis_matches_greedy_extension(self):
+        # the construction's Lagrangian basis, w last, must be the one the
+        # greedy extension of (w,) by L's rows gives, on noise drawn from
+        # isotropic spans at n = 1..10
+        rng = random.Random(41)
+        built = 0
+        for c in range(300):
+            n = 1 + c % 10
+            span = random_group(rng, n, rng.randrange(1, n + 1)).check_basis().span()
+            noise = rng.choices(span, k=rng.randrange(1, 9))
+            ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+            diffs = channel.difference_set(ch)
+            if ramsey._maximal_rows(diffs, n) is not None:
+                continue
+            checks = sorted({op.check_vector() for op in ch.operators})
+            shifted = sorted(v ^ checks[0] for v in checks)
+            lag = f2.complete_lagrangian(f2.reduce(shifted, n).rows, n)
+            w = next(v for v in f2.ascending_span(lag) if v not in diffs)
+            ordered = extend_basis(f2.reduce([w], n), lag).rows
+            partners = f2.symplectic_partners((*ordered[1:], w), n)
+            expected = ramsey._group_from_rows(partners[:-1], n)
+            cand = ramsey._commuting_anticlique_candidate(shifted, diffs, n)
+            assert cand == expected, (n, [str(op) for op in ch.operators])
+            built += 1
+        assert built > 250
 
     def test_noncommuting_candidate_shape(self):
         ch = make_channel("II", "XI", "ZI")

@@ -221,10 +221,19 @@ class TestElements:
                 c = a.multiply(b)
                 assert (c.phase, c.x, c.z) in table
 
-    def test_capacity_limit(self):
-        group = stabilizer.from_string("ZI,IZ")
-        with pytest.raises(CapacityError):
-            stabilizer.elements(group, limit=1)
+    def test_capacity_limit(self, monkeypatch):
+        n = stabilizer.ELEMENT_LIMIT + 1
+        group = stabilizer.validate([PauliOperator(n, 0, 0, 1 << j) for j in range(n)])
+
+        def multiply(self, other):
+            raise AssertionError("elements enumerated past its limit")
+
+        # the bound is checked before the first product
+        monkeypatch.setattr(PauliOperator, "multiply", multiply)
+        with pytest.raises(
+            CapacityError, match="element enumeration limited to 20 generators, got 21"
+        ):
+            stabilizer.elements(group)
 
 
 class TestCentralizerImage:
