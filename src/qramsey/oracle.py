@@ -2,7 +2,7 @@
 
 Nothing in this module consults check vectors: noise quotients are formed
 with dense matrix products, the code from the product formula for its
-projector, and dimensions with singular values of honest Gram matrices.
+projector, and dimensions with the spectra of honest Gram matrices.
 Agreement with the bit-level routines is therefore evidence that both are
 right, which is the whole point.  Everything is deterministic given the
 seed.
@@ -19,6 +19,16 @@ The hot paths are batched: the quotient stack and its compression are
 broadcast ``matmul`` calls, the scalar test reduces every compression at
 once over its matrix axes, and privacy sampling draws all pairs in one
 call and reads every overlap from one ``einsum``.
+
+One ``qramsey verify`` report asks four questions of one (channel, code)
+pair, and the acceptance battery asks about many codes of one channel in
+a row.  So the stack of the last channel and the compression of the last
+(code, channel) pair are kept, read-only, and every call of a report
+after the first reuses them.  A rank is read from the eigenvalues of the
+smaller of the two Hermitian Gram matrices conj(F) F^T and F^T conj(F)
+of the flattened stack F, which share their nonzero spectrum: a
+compressed stack of m^2 quotients has rank at most 4^k, so at k = 1 the
+matrix is 4 x 4, not m^2 x m^2.
 """
 
 from __future__ import annotations
@@ -62,8 +72,10 @@ def _dense(op: PauliOperator) -> np.ndarray:
     return m
 
 
-# A verifier reuses a code basis only within one (channel, code) report, so a
-# small bound keeps a long-running verifier's memory flat.
+# _code_quotients keeps the compression of the last (code, channel) pair,
+# so one report builds V once.  The battery's loops over the codes of each
+# channel meet the same codes again for every channel; a small bound keeps
+# a long-running verifier's memory flat.
 @lru_cache(maxsize=256)
 def _code_basis(group: StabilizerGroup) -> np.ndarray:
     """V, the (2^n, 2^k) orthonormal basis of the code, with V V^+ = P."""
@@ -73,27 +85,50 @@ def _code_basis(group: StabilizerGroup) -> np.ndarray:
     return v
 
 
+# One entry each: a report, and the battery's loops over codes, reuse only
+# the last channel and the last pair.
+@lru_cache(maxsize=1)
 def _quotient_stack(ch: PauliChannel) -> np.ndarray:
-    """All m^2 products E_i^+ E_j as an (m^2, dim, dim) array."""
+    """All m^2 products E_i^+ E_j as a read-only (m^2, dim, dim) array."""
     if ch.n > DENSE_QUBIT_LIMIT:
         raise CapacityError(
             f"dense oracle limited to {DENSE_QUBIT_LIMIT} qubits, got {ch.n}"
         )
     ops = np.stack([_dense(op) for op in ch.operators])
     prods = ops.conj().transpose(0, 2, 1)[:, None] @ ops[None]
-    return prods.reshape(-1, *prods.shape[2:])
+    stack = prods.reshape(-1, *prods.shape[2:])
+    stack.flags.writeable = False
+    return stack
 
 
-def _code_quotients(group: StabilizerGroup, stack: np.ndarray) -> np.ndarray:
-    """Every V^+ Q V for Q in the stack, as a (len(stack), 2^k, 2^k) array."""
+@lru_cache(maxsize=1)
+def _code_quotients(group: StabilizerGroup, ch: PauliChannel) -> np.ndarray:
+    """Every V^+ Q V for Q in the stack, as a read-only (m^2, 2^k, 2^k) array."""
+    # the stack first, so that its capacity error precedes the projector's
+    stack = _quotient_stack(ch)
     v = _code_basis(group)
-    return v.conj().T @ stack @ v
+    reduced = v.conj().T @ stack @ v
+    reduced.flags.writeable = False
+    return reduced
 
 
 def _gram_rank(stack: np.ndarray) -> GramRankResult:
+    """Rank and descending spectrum of the Gram matrix conj(F) F^T.
+
+    F is the (m^2, e) flattened stack.  conj(F) F^T and F^T conj(F) are
+    Hermitian positive semidefinite with one nonzero spectrum, so the
+    smaller is formed; when that is F^T conj(F), the m^2 - e values past
+    its e are exact zeros, as conj(F) F^T has rank at most e.  Rounding
+    below zero is clipped, so the values are the singular values of
+    conj(F) F^T.
+    """
     flat = stack.reshape(stack.shape[0], -1)
-    gram = flat.conj() @ flat.T
-    values = np.linalg.svd(gram, compute_uv=False)
+    if flat.shape[0] <= flat.shape[1]:
+        gram = flat.conj() @ flat.T
+    else:
+        gram = flat.T @ flat.conj()
+    values = np.zeros(flat.shape[0])
+    values[: len(gram)] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
     top = values[0] if len(values) else 0.0
     rank = 0 if top <= 0 else int(np.count_nonzero(values > RANK_TOLERANCE * top))
     return GramRankResult(rank, tuple(float(v) for v in values))
@@ -120,7 +155,7 @@ def dense_compressed_dimension(
     """Rank of the Gram matrix of {P E_i^+ E_j P} under Tr(A^+ B)."""
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    return _gram_rank(_code_quotients(group, _quotient_stack(ch)))
+    return _gram_rank(_code_quotients(group, ch))
 
 
 def dense_graph_dimension(ch: PauliChannel) -> GramRankResult:
@@ -132,7 +167,7 @@ def kl_check(ch: PauliChannel, group: StabilizerGroup) -> bool:
     """Error-correction condition: every P E_i^+ E_j P is a scalar times P."""
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    return _scalars(_code_quotients(group, _quotient_stack(ch))) is not None
+    return _scalars(_code_quotients(group, ch)) is not None
 
 
 def dense_maximal_check(ch: PauliChannel, group: StabilizerGroup) -> bool:
@@ -149,10 +184,9 @@ def dense_maximal_check(ch: PauliChannel, group: StabilizerGroup) -> bool:
         raise ValueError(
             f"group has {group.num_generators} generators, need {group.n} for maximal"
         )
-    stack = _quotient_stack(ch)
-    if _gram_rank(stack).rank != 1 << ch.n:
+    if _gram_rank(_quotient_stack(ch)).rank != 1 << ch.n:
         return False
-    scalars = _scalars(_code_quotients(group, stack))
+    scalars = _scalars(_code_quotients(group, ch))
     return scalars is not None and bool((np.abs(scalars) > SCALAR_TOLERANCE).all())
 
 
@@ -180,7 +214,7 @@ def private_witness_check(
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
     if group.k < 1:
         raise ValueError("code dimension is 1; privacy needs an orthogonal pair")
-    reduced = _code_quotients(group, _quotient_stack(ch))
+    reduced = _code_quotients(group, ch)
     a, b = _code_pairs(np.random.default_rng(seed), samples, reduced.shape[1])
     overlaps = np.einsum("sa,qab,sb->sq", a.conj(), reduced, b, optimize=True)
     return bool((np.abs(overlaps) > SCALAR_TOLERANCE).any(axis=1).all())

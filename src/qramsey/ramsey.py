@@ -192,14 +192,19 @@ class _Candidates:
     reps: np.ndarray  # (count, 4^k): ascending coset representatives of R^⊥/R
     lift: np.ndarray  # (count, 4^k): their positions among the parent's reps
     offset: np.ndarray  # (count,): position of the last row among the parent's reps
-    records: np.ndarray  # object (count, 2): SearchWitness per kind
-    built: np.ndarray  # bool (count, 2): which records exist
+    # the memo: (0, 2) until the level's first hit, then (count, 2), so a
+    # process whose searches hit no candidate here holds no memo for it
+    records: np.ndarray  # object: SearchWitness per kind
+    built: np.ndarray  # bool: which records exist
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def witnesses(self, hits: np.ndarray, kinds: np.ndarray) -> list[SearchWitness]:
         """Records of candidates ``hits`` as ``kinds``, built on first use."""
+        if hits.size and not len(self.built):
+            self.records = np.empty((len(self), 2), dtype=object)
+            self.built = np.zeros((len(self), 2), dtype=bool)
         missing = ~self.built[hits, kinds]
         for i, kind in zip(hits[missing].tolist(), kinds[missing].tolist()):
             if self.built[i, 1 - kind]:
@@ -273,8 +278,8 @@ def _candidates(n: int, d: int) -> _Candidates:
         reps,
         lift,
         offset,
-        np.empty((count, 2), dtype=object),
-        np.zeros((count, 2), dtype=bool),
+        np.empty((0, 2), dtype=object),
+        np.zeros((0, 2), dtype=bool),
     )
     _SUBSPACE_CACHE[key] = level
     return level

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from qramsey import channel, oracle, ramsey, stabilizer
+from qramsey import channel, cli, oracle, ramsey, stabilizer
 from qramsey.pauli import CapacityError, hermitian_rep, identity
 
 from helpers import make_channel, random_channel, random_group
@@ -391,6 +391,100 @@ class TestBatchedAgainstLoops:
             assert a.shape == b.shape == (samples, dim)
             np.testing.assert_allclose(a, [x for x, _ in expected], atol=1e-12)
             np.testing.assert_allclose(b, [y for _, y in expected], atol=1e-12)
+
+
+def distinct_channel(rng, n, m):
+    """A channel of m distinct noise operators on n qubits."""
+    return channel.from_noise(
+        [hermitian_rep(v, n) for v in rng.sample(range(1 << (2 * n)), m)], n=n
+    )
+
+
+class TestGramSides:
+    def test_either_side_matches_the_full_gram(self):
+        # the oracle forms the smaller of the m^2 x m^2 Gram and its
+        # 4^k x 4^k twin; rank and every one of the m^2 values must match
+        # an SVD of the m^2 x m^2 Gram, whichever side was formed
+        rng = random.Random(67)
+        pairs = []
+        for n in range(1, 5):
+            for d in range(n + 1):
+                k = n - d
+                for m in sorted({1, 1 << k, (1 << k) + 1, 16}):
+                    if m <= 4**n:
+                        ch = distinct_channel(rng, n, m)
+                        pairs.append((ch, random_group(rng, n, d)))
+        sides = set()
+        ranks = set()
+        for ch, group in pairs:
+            count = len(ch.operators) ** 2
+            sides.add((count > 4**group.k) - (count < 4**group.k))
+            result = oracle.dense_compressed_dimension(ch, group)
+            rank, values = loop_gram_rank(ch, group)
+            assert len(result.singular_values) == count
+            assert result.rank == rank
+            ranks.add(rank)
+            np.testing.assert_allclose(
+                result.singular_values, values, rtol=0,
+                atol=oracle.RANK_TOLERANCE * values[0],
+            )
+            flat = loop_quotient_stack(ch).reshape(count, -1)
+            values = np.linalg.svd(flat.conj() @ flat.T, compute_uv=False)
+            graph = oracle.dense_graph_dimension(ch)
+            assert graph.rank == channel.graph_dimension(ch)
+            np.testing.assert_allclose(
+                graph.singular_values, values, rtol=0,
+                atol=oracle.RANK_TOLERANCE * values[0],
+            )
+        assert sides == {-1, 0, 1}
+        assert len(ranks) > 5
+        # m = 1 with the full-space code, and m = 16 with k = 1, are among them
+        assert any(len(ch.operators) == 1 and g.k == g.n for ch, g in pairs)
+        assert any(len(ch.operators) == 16 and g.k == 1 for ch, g in pairs)
+
+
+def clique_pair():
+    ch = make_channel("II", "XI", "ZI")
+    return ch, ramsey.classify(ch).witness
+
+
+class TestPerReportReuse:
+    """One verify report builds the stack and the compression once."""
+
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        oracle._quotient_stack.cache_clear()
+        oracle._code_quotients.cache_clear()
+
+    def test_one_report_builds_each_once(self):
+        ch, group = clique_pair()
+        doc, failures = cli._verify_report(ch, group, 0)
+        assert not failures and "privacy" in doc
+        # a builder runs on a miss only; the three code calls read one
+        # compression, which read the stack the graph rank reads
+        stack = oracle._quotient_stack.cache_info()
+        compression = oracle._code_quotients.cache_info()
+        assert (stack.misses, stack.hits) == (1, 1)
+        assert (compression.misses, compression.hits) == (1, 2)
+
+    def test_caches_keep_only_the_last_channel(self):
+        ch, group = clique_pair()
+        other = make_channel("II", "XI", "ZI", "IZ")
+        for c in (ch, other):
+            assert not cli._verify_report(c, group, 0)[1]
+        for cached in (oracle._quotient_stack, oracle._code_quotients):
+            info = cached.cache_info()
+            assert (info.currsize, info.misses) == (1, 2)
+        assert np.array_equal(
+            oracle._quotient_stack(other), loop_quotient_stack(other)
+        )
+        assert oracle._quotient_stack.cache_info().misses == 2
+
+    def test_cached_arrays_are_read_only(self):
+        ch, group = clique_pair()
+        for array in (oracle._quotient_stack(ch), oracle._code_quotients(group, ch)):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1
 
 
 class DegenerateOnce:

@@ -520,6 +520,29 @@ class TestConstructionInternals:
             assert a is cands.records[i, 0] and c is cands.records[i, 1]
             assert a.group is c.group
 
+    def test_memo_is_allocated_on_a_levels_first_hit(self, validate_calls):
+        # a maximal channel hits 2^k cosets of every code, neither 1 nor
+        # 4^k, so its search records no witness and allocates no memo
+        n = 3
+        maximal = channel.maximal_stabilizer_channel(
+            random_group(random.Random(71), n, n)
+        )
+        assert ramsey.search(maximal, "both").witnesses == ()
+        levels = [ramsey._candidates(n, d) for d in range(n)]
+        assert all(len(level.records) == len(level.built) == 0 for level in levels)
+        assert validate_calls == []
+        # a later search allocates on its hits and returns the records a
+        # search on fresh levels returns, and the same objects again after
+        ch = make_channel("III", "XII", "ZII", "IYI", "IIZ")
+        first = ramsey.search(ch, "both")
+        assert first.witnesses
+        assert any(len(level.built) == len(level) for level in levels)
+        second = ramsey.search(ch, "both")
+        assert second == first
+        assert all(a is b for a, b in zip(second.witnesses, first.witnesses))
+        ramsey._SUBSPACE_CACHE.clear()
+        assert ramsey.search(ch, "both") == first
+
     def test_commuting_candidates_verify(self):
         rng = random.Random(17)
         built = 0
