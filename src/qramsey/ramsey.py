@@ -13,17 +13,18 @@ the maximum 2^{2k} (the noise algebra fills the compressed picture).
 
 `classify` realizes the trichotomy: either W is exactly the check-vector
 set of a maximal stabilizer group, or a nontrivial anticlique or clique
-witness exists.  The witness is built by the constructive proof, which is
-complete and polynomial in n, and then verified rather than trusted.  An
-`Inconsistent` answer therefore means a constructed candidate failed its
-verification, which would be a counterexample worth reporting, not a bug
-to hide.
+witness exists.  One pass of the constructive proof, which is complete
+and polynomial in n, decides all three: the maximal case is met where the
+anticlique construction finds nothing of its Lagrangian missing from W.
+A witness it builds is verified rather than trusted.  An `Inconsistent`
+answer therefore means a constructed candidate failed its verification,
+which would be a counterexample worth reporting, not a bug to hide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -323,39 +324,19 @@ def _group_from_rows(rows: tuple[int, ...], n: int) -> StabilizerGroup:
 # -- constructive procedures -------------------------------------------------
 
 
-def _maximal_rows(diffs: frozenset[int], n: int) -> tuple[int, ...] | None:
-    """Basis rows if the difference set is exactly a Lagrangian, else None."""
-    if len(diffs) != 1 << n:
-        return None
-    basis = f2.reduce(diffs, n)
-    if basis.dim != n:
-        return None
-    if any(f2.twisted_dot(a, b, n) for a, b in combinations(basis.rows, 2)):
-        return None
-    return basis.rows
-
-
 def _commuting_anticlique_candidate(
-    checks: list[int], diffs: frozenset[int], n: int
+    lag: tuple[int, ...], w: int, n: int
 ) -> StabilizerGroup:
     """Anticlique candidate for check vectors that commute pairwise.
 
-    Extends the span of the check vectors, which holds every difference,
-    to a Lagrangian L, picks the smallest vector w (as an int) in L missing
-    from the difference set (one exists whenever the maximal case failed),
-    and takes the symplectic partners of a basis of L that has w last: L's
-    rows in ascending order, less the first row whose prefix spans w, then
-    w.  Every difference vector then either anticommutes with some partner
-    or is zero, so the candidate compresses the noise to scalars.  L is
-    walked in ascending order without being built, so finding w takes at
-    most |diffs| + 1 steps, not the 2^n of the whole Lagrangian.
+    ``lag`` is a Lagrangian L containing every difference and w the
+    smallest vector (as an int) in L missing from the difference set, both
+    found by ``classify``.  The candidate is generated by the symplectic
+    partners of a basis of L that has w last: L's rows in ascending order,
+    less the first row whose prefix spans w, then w.  Every difference
+    vector then either anticommutes with some partner or is zero, so the
+    candidate compresses the noise to scalars.
     """
-    lag = f2.complete_lagrangian(f2.reduce(checks, n).rows, n)
-    w = next((v for v in f2.ascending_span(lag) if v not in diffs), None)
-    if w is None:
-        raise RuntimeError(
-            "commuting noise fills a Lagrangian but was not caught as maximal"
-        )
     rows = sorted(lag)
     j = next(j for j in range(n) if f2.reduce((*rows[: j + 1], w), n).dim == j + 1)
     partners = f2.symplectic_partners((*rows[:j], *rows[j + 1 :], w), n)
@@ -447,37 +428,53 @@ def search(
 def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult:
     """Trichotomy: maximal stabilizer channel, anticlique, or clique.
 
-    The decision follows the structure of the underlying theorem: if the
-    difference set is exactly a Lagrangian, the channel's noise algebra is
-    that of a maximal stabilizer mixture.  Otherwise every check vector is
-    shifted by the smallest one, c -> c ^ checks[0].  The difference set is
-    unchanged, and the shifted checks contain 0, so each of them is itself
-    a difference.  If the shifted checks commute, their span holds the
-    whole difference set and the anticlique construction applies; if not,
-    their first anticommuting pair lies in the difference set and the
-    clique construction applies.  Either way the candidate is verified; a
-    candidate that fails is answered with Inconsistent and a diagnostic,
-    since it would contradict the theorem.  Every step is polynomial in n
-    and the number of noise operators, so ``limit`` (a qubit cap that
-    raises CapacityError) is off by default.
+    One pass follows the constructive proof.  Every check vector is
+    shifted by the smallest one, c -> c ^ checks[0].  The difference set
+    W is unchanged, and the shifted checks contain 0, so each of them is
+    itself a difference.  If two shifted checks anticommute, the first
+    such pair lies in W and the clique construction applies.  If they all
+    commute, their span holds W and extends to a Lagrangian L.  When every
+    vector of L is in W, W is the Lagrangian L and the channel's noise
+    algebra is that of a maximal stabilizer mixture, whose witness is L's
+    canonical basis and whose compressed dimension is 1 (k = 0).
+    Otherwise the smallest vector of L outside W drives the anticlique
+    construction.  A constructed candidate is verified; one that fails is
+    answered with Inconsistent and a diagnostic, since it would contradict
+    the theorem.  Every step is polynomial in n and the number of noise
+    operators, so ``limit`` (a qubit cap that raises CapacityError) is off
+    by default.
     """
     n = ch.n
     if limit is not None and n > limit:
         raise CapacityError(f"classification limited to {limit} qubits, got {n}")
     diffs = difference_set(ch)
-    rows = _maximal_rows(diffs, n)
-    if rows is not None:
-        group = _group_from_rows(rows, n)
-        return ClassificationResult(
-            "MaximalStabilizerChannel", group, compressed_dimension(ch, group), 0
-        )
     checks = sorted({op.check_vector() for op in ch.operators})
     shifted = sorted(c ^ checks[0] for c in checks)
+    # the first anticommuting pair in the order of combinations(shifted, 2);
+    # twisted_dot(a, b) is the parity of a & swap_halves(b), and each check
+    # is swapped once, not once per pair
+    swapped = [f2.swap_halves(c, n) for c in shifted]
     pair = next(
-        ((a, b) for a, b in combinations(shifted, 2) if f2.twisted_dot(a, b, n)), None
+        (
+            (a, shifted[j])
+            for i, a in enumerate(shifted)
+            for j in range(i + 1, len(shifted))
+            if (a & swapped[j]).bit_count() & 1
+        ),
+        None,
     )
     if pair is None:
-        candidate = _commuting_anticlique_candidate(shifted, diffs, n)
+        # L walked in ascending order without being built: w is found in
+        # at most |W| + 1 steps, not the 2^n of the whole Lagrangian
+        lag = f2.complete_lagrangian(f2.reduce(shifted, n).rows, n)
+        w = next((v for v in f2.ascending_span(lag) if v not in diffs), None)
+        if w is None:
+            # L = W, so the shifted checks span W and complete_lagrangian
+            # returned their reduced basis, which is W's canonical basis
+            return ClassificationResult(
+                "MaximalStabilizerChannel", _group_from_rows(lag, n), 1, 0
+            )
+        candidate = _commuting_anticlique_candidate(lag, w, n)
         if is_anticlique(ch, candidate):
             return ClassificationResult("Anticlique", candidate, 1, 0)
         kind = "anticlique"

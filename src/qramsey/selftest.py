@@ -200,10 +200,11 @@ def check_oracle_equivalence(
                 f"n=3 noise {[str(o) for o in ch.operators]} vs {group}: "
                 f"{fast} != {dense}"
             )
+    sampled = f" and {n3_cases} random n=3 cases" if n3_cases else ""
     return _result(
         "compressed dimension vs dense Gram rank",
         failures,
-        f"{exhaustive} exhaustive n={n} cases and {n3_cases} random n=3 cases, exact",
+        f"{exhaustive} exhaustive n={n} cases{sampled}, exact",
     )
 
 
@@ -228,11 +229,12 @@ def check_main_theorem(seed: int = 0, n3_cases: int = 10, n: int = 2) -> CheckRe
                 f"{group} channel has witness "
                 f"{report.witnesses[0].to_json_dict()}"
             )
+    sampled = f" plus {n3_cases} random maximal stabilizers at n=3" if n3_cases else ""
     return _result(
         "maximal stabilizer channels have no witnesses",
         failures,
-        f"all {lagrangians} Lagrangians at n={n} plus {n3_cases} random maximal "
-        f"stabilizers at n=3; {examined} candidate codes examined, zero witnesses",
+        f"all {lagrangians} Lagrangians at n={n}{sampled}; "
+        f"{examined} candidate codes examined, zero witnesses",
     )
 
 

@@ -372,6 +372,16 @@ class TestSelftest:
             for number in (6, 7, 9):
                 assert results[number].detail.endswith("; capped at n=1")
             assert "from 15 sampled channels" in results[9].detail
+            assert all("n=3" not in r.detail for r in results.values())
+
+    def test_cap_two_names_no_three_qubit_case(self):
+        # criteria 3 and 4 sample n = 3 only when the cap allows it, and a
+        # detail names only what ran
+        results = dict(selftest.run(max_n=2))
+        assert all(r.passed for r in results.values())
+        assert all("n=3" not in r.detail for r in results.values())
+        assert results[3].detail.endswith(" exhaustive n=2 cases, exact")
+        assert results[4].detail.startswith("all 15 Lagrangians at n=2; ")
 
     def test_default_run_details_are_unchanged(self):
         # the quick default run names n=2 where it always did, and nothing

@@ -24,6 +24,30 @@ def first_anticommuting_pair(checks, n):
     )
 
 
+def is_maximal_by_definition(diffs, n):
+    """Whether the difference set is exactly a Lagrangian, by the definition."""
+    basis = f2.reduce(diffs, n)
+    return (
+        len(diffs) == 1 << n
+        and set(basis.span()) == diffs
+        and not any(f2.twisted_dot(a, b, n) for a, b in combinations(basis.rows, 2))
+    )
+
+
+def shifted_checks(ch):
+    """classify's check vectors, shifted by the smallest so that 0 is one."""
+    checks = sorted({op.check_vector() for op in ch.operators})
+    return sorted(v ^ checks[0] for v in checks)
+
+
+def lagrangian_and_w(ch):
+    """The Lagrangian L and the w of L outside W that classify builds."""
+    n = ch.n
+    diffs = channel.difference_set(ch)
+    lag = f2.complete_lagrangian(f2.reduce(shifted_checks(ch), n).rows, n)
+    return lag, next(v for v in f2.ascending_span(lag) if v not in diffs)
+
+
 MAXIMAL_X = channel.maximal_stabilizer_channel(stabilizer.from_string("XI,IX"))
 FULL_P2 = channel.from_noise([hermitian_rep(v, 2) for v in range(16)])
 
@@ -361,6 +385,75 @@ class TestClassify:
         assert result.witness.k >= 1
         assert ramsey.gottesman_correctable(ch, result.witness)
 
+    def test_clique_witness_comes_from_the_first_anticommuting_pair(self):
+        # the pair is the first in combinations order over the shifted
+        # checks; another anticommuting pair can give another witness
+        rng = random.Random(31)
+        cliques = 0
+        for c in range(200):
+            n = 1 + c % 6
+            ch = random_channel(rng, n, 10)
+            result = ramsey.classify(ch)
+            if result.tag != "Clique":
+                continue
+            pair = first_anticommuting_pair(shifted_checks(ch), n)
+            assert result.witness == ramsey._noncommuting_clique_candidate(*pair, n)
+            cliques += 1
+        assert cliques > 100
+
+    @staticmethod
+    def assert_maximal(ch):
+        n = ch.n
+        diffs = channel.difference_set(ch)
+        assert is_maximal_by_definition(diffs, n)
+        result = ramsey.classify(ch)
+        assert result.tag == "MaximalStabilizerChannel"
+        assert result.examined == 0
+        rows = f2.reduce(diffs, n).rows
+        assert result.witness == stabilizer.validate(
+            [hermitian_rep(v, n) for v in rows], n=n
+        )
+        assert result.dim_pgp == ramsey.compressed_dimension(ch, result.witness) == 1
+
+    def test_every_maximal_two_qubit_channel(self):
+        # noise whose difference set is a Lagrangian L lies in one coset of
+        # L; at n = 2 it is any 3 of the coset's 4 vectors or all of them,
+        # so there are 15 Lagrangians x 4 cosets x 5 subsets = 300 channels
+        n = 2
+        seen = set()
+        for basis in f2.enumerate_isotropic(n, n):
+            span = basis.span()
+            cosets = {tuple(sorted(c ^ v for v in span)) for c in range(16)}
+            assert len(cosets) == 4
+            for coset in cosets:
+                for noise in [*combinations(coset, 3), coset]:
+                    seen.add(noise)
+                    ops = [hermitian_rep(v, n) for v in noise]
+                    self.assert_maximal(channel.from_noise(ops, n=n))
+        assert len(seen) == 300
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_full_cosets_of_lagrangians_are_maximal(self, n):
+        rng = random.Random(600 + n)
+        for _ in range(2):
+            span = random_group(rng, n, n).check_basis().span()
+            c = rng.randrange(1 << (2 * n))
+            ops = [hermitian_rep(c ^ v, n) for v in span]
+            self.assert_maximal(channel.from_noise(ops, n=n))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_isotropic_spans_below_n_are_anticliques(self, n):
+        # a coset of an isotropic subspace of dimension d < n commutes after
+        # the shift and fills no Lagrangian
+        rng = random.Random(700 + n)
+        for d in range(n):
+            span = random_group(rng, n, d).check_basis().span()
+            c = rng.randrange(1 << (2 * n))
+            ch = channel.from_noise([hermitian_rep(c ^ v, n) for v in span], n=n)
+            result = ramsey.classify(ch)
+            assert result.tag == "Anticlique", (n, d)
+            assert ramsey.is_anticlique(ch, result.witness)
+
     def test_json_shape(self):
         doc = ramsey.classify(make_channel("II", "XI", "ZI")).to_json_dict()
         assert doc == {
@@ -551,11 +644,9 @@ class TestConstructionInternals:
             rows = random_group(rng, n, rng.randrange(0, n + 1)).generators
             ops = [identity(n), *rows]
             ch = channel.from_noise(ops, n=n)
-            diffs = channel.difference_set(ch)
-            if ramsey._maximal_rows(diffs, n) is not None:
+            if is_maximal_by_definition(channel.difference_set(ch), n):
                 continue
-            checks = sorted({op.check_vector() for op in ch.operators})
-            cand = ramsey._commuting_anticlique_candidate(checks, diffs, n)
+            cand = ramsey._commuting_anticlique_candidate(*lagrangian_and_w(ch), n)
             assert cand.num_generators == n - 1
             assert ramsey.is_anticlique(ch, cand)
             built += 1
@@ -572,17 +663,13 @@ class TestConstructionInternals:
             span = random_group(rng, n, rng.randrange(1, n + 1)).check_basis().span()
             noise = rng.choices(span, k=rng.randrange(1, 9))
             ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
-            diffs = channel.difference_set(ch)
-            if ramsey._maximal_rows(diffs, n) is not None:
+            if is_maximal_by_definition(channel.difference_set(ch), n):
                 continue
-            checks = sorted({op.check_vector() for op in ch.operators})
-            shifted = sorted(v ^ checks[0] for v in checks)
-            lag = f2.complete_lagrangian(f2.reduce(shifted, n).rows, n)
-            w = next(v for v in f2.ascending_span(lag) if v not in diffs)
+            lag, w = lagrangian_and_w(ch)
             ordered = extend_basis(f2.reduce([w], n), lag).rows
             partners = f2.symplectic_partners((*ordered[1:], w), n)
             expected = ramsey._group_from_rows(partners[:-1], n)
-            cand = ramsey._commuting_anticlique_candidate(shifted, diffs, n)
+            cand = ramsey._commuting_anticlique_candidate(lag, w, n)
             assert cand == expected, (n, [str(op) for op in ch.operators])
             built += 1
         assert built > 250
