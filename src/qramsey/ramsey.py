@@ -24,7 +24,7 @@ which would be a counterexample worth reporting, not a bug to hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -116,12 +116,35 @@ def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
 
     This is the dimension of the compressed operator span P G P for the
     code of ``group``; it always lands in [1, 2^{2k}].
+
+    The count is taken from the m check vectors, not from the up to m^2
+    differences.  For a canonical basis, ``f2.reduce_mod`` is linear: it
+    XORs in the rows whose pivots are set in its argument, and no row
+    holds another row's pivot.  So a difference a ^ b lies in L(Z(R))
+    exactly when a and b have the same representative modulo L(Z(R)),
+    and its L(R) coset is represented by the XOR of their
+    representatives modulo L(R).  Each check is reduced once against
+    each basis, the L(R) representatives are grouped by their L(Z(R))
+    representative, and the XORs within each group are the hit cosets.
+    A group holds at most 4^k distinct values, one per coset of L(R) in
+    L(Z(R)), so the cost is O(m n + m min(m, 4^k)).
     """
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
     centralizer = centralizer_image(group)
-    hits = (v for v in difference_set(ch) if f2.reduce_mod(v, centralizer) == 0)
-    return f2.coset_count(hits, group.check_basis())
+    basis = group.check_basis()
+    classes: dict[int, set[int]] = {}
+    for op in ch.operators:
+        c = op.check_vector()
+        key = f2.reduce_mod(c, centralizer)
+        classes.setdefault(key, set()).add(f2.reduce_mod(c, basis))
+    # 0 = a ^ a, and a ^ b = b ^ a: each unordered pair is XORed once.
+    # The XORs are reduced already; the set leaves coset_count one
+    # reduction per hit coset
+    hits = {0}
+    for reps in classes.values():
+        hits.update(a ^ b for a, b in combinations(reps, 2))
+    return f2.coset_count(hits, basis)
 
 
 def is_anticlique(ch: PauliChannel, group: StabilizerGroup) -> bool:
@@ -352,11 +375,15 @@ def _noncommuting_clique_candidate(h: int, g: int, n: int) -> StabilizerGroup:
     the difference set, which holds when the checks contain 0: then
     h = h ^ 0 and g = g ^ 0 are differences.  ``classify`` shifts the
     checks so that they do, and passes their first anticommuting pair.
+    As in classify's pair scan, g is swapped once and each row's twisted
+    dot with g is the parity of ``v & swapped``.
     """
-    rows = []
-    for v in f2.complete_lagrangian((h,), n)[1:]:
-        rows.append(v ^ h if f2.twisted_dot(v, g, n) else v)
-    return _group_from_rows(tuple(rows), n)
+    swapped = f2.swap_halves(g, n)
+    rows = tuple(
+        v ^ h if (v & swapped).bit_count() & 1 else v
+        for v in f2.complete_lagrangian((h,), n)[1:]
+    )
+    return _group_from_rows(rows, n)
 
 
 # -- exhaustive search and the trichotomy ------------------------------------

@@ -66,3 +66,21 @@ def extend_basis(partial: f2.F2Basis, candidates: Iterable[int]) -> f2.F2Basis:
             rows.append(c)
             work = f2.reduce(rows, n)
     return f2.F2Basis(n, tuple(rows))
+
+
+def definitional_compressed_dimension(ch, group) -> int:
+    """Compressed dimension straight from its definition, over all of W.
+
+    The L(R) cosets hit by the differences that lie in L(Z(R)); the
+    reference for ``ramsey.compressed_dimension``, which counts them from
+    the channel's checks without building W.
+    """
+    centralizer = stabilizer.centralizer_image(group)
+    basis = group.check_basis()
+    return len(
+        {
+            f2.reduce_mod(v, basis)
+            for v in channel.difference_set(ch)
+            if f2.reduce_mod(v, centralizer) == 0
+        }
+    )

@@ -14,7 +14,13 @@ import pytest
 from qramsey import channel, f2, oracle, ramsey, stabilizer
 from qramsey.pauli import CapacityError, hermitian_rep, identity, parse
 
-from helpers import extend_basis, make_channel, random_channel, random_group
+from helpers import (
+    definitional_compressed_dimension,
+    extend_basis,
+    make_channel,
+    random_channel,
+    random_group,
+)
 
 
 def first_anticommuting_pair(checks, n):
@@ -97,18 +103,95 @@ class TestCompressedDimension:
         # difference set is a Lagrangian L, whose hits on a code R are
         # L ∩ R^⊥ (dimension n - d + j, j = dim(L ∩ R)) modulo L ∩ R, so
         # every count is 2^k.  Random codes mostly have j = 0, codes cut
-        # from L's generators have j = d.  Each call rebuilds the
-        # 2^n-operator difference set, so n = 12 checks one code.
+        # from L's generators have j = d.
         rng = random.Random(n)
         group = random_group(rng, n, n)
         ch = channel.maximal_stabilizer_channel(group)
-        ks = range(n + 1) if n < 12 else [rng.randrange(1, n)]
-        for k in ks:
-            codes = [random_group(rng, n, n - k)]
-            if n < 12:
-                codes.append(stabilizer.validate(group.generators[: n - k], n=n))
+        for k in range(n + 1):
+            codes = [
+                random_group(rng, n, n - k),
+                stabilizer.validate(group.generators[: n - k], n=n),
+            ]
             for code in codes:
                 assert ramsey.compressed_dimension(ch, code) == 2**k, (n, k, str(code))
+
+    def test_matches_definition_on_every_n1_pair(self):
+        codes = [
+            stabilizer.validate([hermitian_rep(v, 1) for v in basis.rows], n=1)
+            for d in (0, 1)
+            for basis in f2.enumerate_isotropic(1, d)
+        ]
+        for size in range(1, 5):
+            for vectors in combinations(range(4), size):
+                ch = channel.from_noise([hermitian_rep(v, 1) for v in vectors])
+                for code in codes:
+                    assert ramsey.compressed_dimension(
+                        ch, code
+                    ) == definitional_compressed_dimension(ch, code), (vectors, str(code))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_definition_on_seeded_pairs(self, n):
+        rng = random.Random(100 + n)
+        pairs = [(random_channel(rng, n, 12), random_group(rng, n)) for _ in range(30)]
+        # noise drawn from a few cosets of L(Z(R)), so that the checks
+        # sharing a representative modulo L(Z(R)) fall in several L(R)
+        # cosets
+        for _ in range(30):
+            group = random_group(rng, n)
+            rows = stabilizer.centralizer_image(group).rows
+            offsets = [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(1, 4))]
+            vectors = set()
+            for _ in range(rng.randrange(2, 16)):
+                v = rng.choice(offsets)
+                for r in rows:
+                    if rng.getrandbits(1):
+                        v ^= r
+                vectors.add(v)
+            ops = [hermitian_rep(v, n) for v in sorted(vectors)]
+            pairs.append((channel.from_noise(ops, n=n), group))
+        # classify's witnesses, whose counts are 1 or 4^k
+        for _ in range(10):
+            ch = random_channel(rng, n, 2 * n + 2)
+            pairs.append((ch, ramsey.classify(ch).witness))
+        counts = []
+        for ch, group in pairs:
+            counts.append(ramsey.compressed_dimension(ch, group))
+            assert counts[-1] == definitional_compressed_dimension(ch, group), (
+                [str(op) for op in ch.operators],
+                str(group),
+            )
+        assert any(c > 2 for c in counts[30:60])
+
+    def test_counts_from_the_checks_not_the_differences(self, monkeypatch):
+        # a maximal n=10 channel has m = 1,024 checks and 1,024 distinct
+        # differences out of m^2 pairs; each check is reduced once against
+        # each basis and each hit coset once more, and W is never built
+        n = 10
+        rng = random.Random(10)
+        ch = channel.maximal_stabilizer_channel(random_group(rng, n, n))
+        m = len(ch.operators)
+        assert m == 1 << n
+        calls = {"reduce_mod": 0, "difference_set": 0}
+        real_reduce_mod = f2.reduce_mod
+        real_difference_set = channel.difference_set
+
+        def counting_reduce_mod(v, basis):
+            calls["reduce_mod"] += 1
+            return real_reduce_mod(v, basis)
+
+        def counting_difference_set(channel_):
+            calls["difference_set"] += 1
+            return real_difference_set(channel_)
+
+        monkeypatch.setattr(f2, "reduce_mod", counting_reduce_mod)
+        monkeypatch.setattr(channel, "difference_set", counting_difference_set)
+        monkeypatch.setattr(ramsey, "difference_set", counting_difference_set)
+        for k in (1, 2):
+            calls["reduce_mod"] = 0
+            code = random_group(rng, n, n - k)
+            assert ramsey.compressed_dimension(ch, code) == 2**k
+            assert calls["reduce_mod"] <= 2 * m + 4**k, k
+        assert calls["difference_set"] == 0
 
 
 class TestCliqueAnticliquePredicates:
