@@ -10,6 +10,11 @@ The twisted dot product u * v = <a,d> + <b,c> (mod 2), for u = a|b and
 v = c|d, vanishes exactly when the Pauli operators with check vectors u
 and v commute.  The routines on single vectors and bases are pure and
 allocation-light, since they sit on every classify and verify call.
+Each public function checks the vectors it is given where they enter;
+the private :func:`_reduce` and :func:`_reduce_mod` skip that check, for
+vectors a caller has checked already or built in range.  A twisted
+kernel is read straight off one reduction of its constraints, in
+whichever echelon form its caller needs (see :func:`_kernel_rows`).
 :func:`enumerate_isotropic` alone works on numpy arrays: it builds each
 level of its orderly generation as one uint64 array in chunked passes,
 and yields plain-int bases from it.
@@ -107,11 +112,18 @@ class F2Basis:
 def reduce(vectors: Iterable[int], n: int) -> F2Basis:
     """Canonical (RREF, increasing pivots) basis of the span of ``vectors``."""
     _check_qubits(n)
+    vectors = list(vectors)
+    for v in vectors:
+        _check_vector(v, n)
+    return _reduce(vectors, n)
+
+
+def _reduce(vectors: Iterable[int], n: int) -> F2Basis:
+    """:func:`reduce` for vectors already known to lie in F_2^{2n}."""
     # each row's pivot as a mask, its lowest set bit: a pivot test is one AND
     masks: list[int] = []
     rows: list[int] = []
     for v in vectors:
-        _check_vector(v, n)
         for m, r in zip(masks, rows):
             if v & m:
                 v ^= r
@@ -131,6 +143,11 @@ def reduce_mod(v: int, basis: F2Basis) -> int:
     v are cleared, which picks one representative per coset.
     """
     _check_vector(v, basis.n)
+    return _reduce_mod(v, basis)
+
+
+def _reduce_mod(v: int, basis: F2Basis) -> int:
+    """:func:`reduce_mod` for a vector already known to lie in F_2^{2n}."""
     for r in basis.rows:
         if v & r & -r:
             v ^= r
@@ -188,28 +205,49 @@ def ascending_span(rows: Iterable[int]) -> Iterator[int]:
         yield v
 
 
+def _kernel_rows(constraints: Sequence[int], pivots: Sequence[int], n: int) -> list[int]:
+    """The kernel {v : <v, r> = 0 for every constraint r}, one row per free bit.
+
+    ``constraints`` are fully reduced rows with distinct pivot bits
+    ``pivots`` (as masks), no row holding another row's pivot.  For each
+    free bit f, that is each bit that is no pivot, the row is e_f plus the
+    pivot of every constraint that holds f: its dot with a constraint r is
+    r's bit f plus r's bit f again.  No row holds another row's free bit,
+    so the rows, ascending in f, are a fully reduced basis with f as the
+    distinguished bit of each.  Pivots at the lowest bits make every f the
+    highest bit of its row, and pivots at the highest bits make it the
+    lowest.
+    """
+    taken = sum(pivots)  # distinct bits, so the sum is their union
+    rows = []
+    for f in range(2 * n):
+        bit = 1 << f
+        if taken & bit:
+            continue
+        v = bit
+        for m, r in zip(pivots, constraints):
+            if r & bit:
+                v |= m
+        rows.append(v)
+    return rows
+
+
 def twisted_kernel(generators: Sequence[int], n: int) -> F2Basis:
     """Canonical basis of {v : twisted_dot(v, g) = 0 for all g}.
 
     With independent generators the kernel has dimension 2n - len(generators);
     dependent input still yields the correct kernel (rank is what counts).
+    The constraints swap_halves(g) are brought to top-bit form by
+    :func:`echelon`, and :func:`_kernel_rows` reads the kernel off them
+    with each row's lowest bit distinct and in no other row: that is the
+    canonical basis itself, with no second reduction.
     """
+    _check_qubits(n)
     for g in generators:
         _check_vector(g, n)
-    constraints = reduce((swap_halves(g, n) for g in generators), n).rows
-    masks = [r & -r for r in constraints]
-    pivots = sum(masks)  # distinct bits, so the sum is their union
-    basis = []
-    for f in range(2 * n):
-        bit = 1 << f
-        if pivots & bit:
-            continue
-        v = bit
-        for m, r in zip(masks, constraints):
-            if r & bit:
-                v |= m
-        basis.append(v)
-    return reduce(basis, n)
+    constraints = echelon(swap_halves(g, n) for g in generators)
+    tops = [1 << (r.bit_length() - 1) for r in constraints]
+    return F2Basis(n, tuple(_kernel_rows(constraints, tops, n)))
 
 
 def coset_count(hits: Iterable[int], sub: F2Basis) -> int:
@@ -330,12 +368,16 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
     kernel's top-bit echelon basis outside the current span.
 
     The kernel of the input rows is computed and brought to that form
-    once; each added v then cuts it to its part orthogonal to v with
-    :func:`_cut_orthogonal`, which leaves it in the form :func:`echelon`
-    would give the new kernel.  The span so far is kept as a reduced basis
-    that each added vector is inserted into, and kernel rows found inside
-    it are not tested again.  Beyond the O(d^2) entry checks on d input
-    rows, the whole completion costs O(n^2) row operations.
+    once: the constraints swap_halves(row) are reduced with pivots at
+    their lowest bits, and :func:`_kernel_rows` then gives each kernel row
+    a distinct highest bit held by no other row, which is already the
+    form :func:`echelon` returns.  Each added v then cuts the kernel to
+    its part orthogonal to v with :func:`_cut_orthogonal`, which leaves it
+    in the form :func:`echelon` would give the new kernel.  The span so
+    far is kept as a reduced basis that each added vector is inserted
+    into, and kernel rows found inside it are not tested again.  Beyond
+    the O(d^2) entry checks on d input rows, the whole completion costs
+    O(n^2) row operations.
     """
     out = list(rows)
     base = reduce(out, n)
@@ -350,7 +392,8 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
                 )
     if len(out) == n:
         return tuple(out)
-    kernel = list(echelon(twisted_kernel(out, n).rows))
+    constraints = _reduce((swap_halves(v, n) for v in out), n).rows
+    kernel = _kernel_rows(constraints, [r & -r for r in constraints], n)
     # span(out) as a fully reduced basis, with each row's pivot mask
     span = list(base.rows)
     masks = [r & -r for r in span]
@@ -391,10 +434,12 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
     base = reduce(rows, n)
     if base.dim != n:
         raise ValueError("rows are dependent")
+    # rows are in range, checked by reduce: the twisted dot is the parity
+    # of u & swap_halves(v)
     for i, u in enumerate(rows):
-        for v in rows[i:]:
-            if twisted_dot(u, v, n):
-                raise ValueError("rows are not isotropic")
+        su = swap_halves(u, n)
+        if any((v & su).bit_count() & 1 for v in rows[i + 1 :]):
+            raise ValueError("rows are not isotropic")
     width = 2 * n
     coef_mask = (1 << width) - 1
     # RREF with right-hand-side tracking in the bits above the coefficients
@@ -430,6 +475,6 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
         for v in partners[i + 1:]:
             if twisted_dot(u, v, n):
                 raise RuntimeError("partner construction left an anticommuting pair")
-    if reduce((*rows, *partners), n).dim != width:
+    if _reduce((*rows, *partners), n).dim != width:
         raise RuntimeError("partner construction did not complete a basis")
     return tuple(partners)

@@ -128,21 +128,39 @@ def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
     representative, and the XORs within each group are the hit cosets.
     A group holds at most 4^k distinct values, one per coset of L(R) in
     L(Z(R)), so the cost is O(m n + m min(m, 4^k)).
+
+    A group S that is an affine subspace s0 + V is not paired out: its
+    XORs are exactly V.  S is one when |S| is a power of two, at least 4,
+    and 2^rank(S + s0) = |S|, since S + s0 then fills its own span.  For a
+    maximal channel every group is such a coset, and its 2^k values cost
+    O(2^k k) rather than 4^k/2 XORs.
+
+    Each check's range is checked once, as it enters; the reductions
+    after that skip the check.
     """
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
+    n = ch.n
     centralizer = centralizer_image(group)
     basis = group.check_basis()
     classes: dict[int, set[int]] = {}
-    for op in ch.operators:
+    for op, _ in ch.noise:
         c = op.check_vector()
-        key = f2.reduce_mod(c, centralizer)
-        classes.setdefault(key, set()).add(f2.reduce_mod(c, basis))
+        f2._check_vector(c, n)
+        key = f2._reduce_mod(c, centralizer)
+        classes.setdefault(key, set()).add(f2._reduce_mod(c, basis))
     # 0 = a ^ a, and a ^ b = b ^ a: each unordered pair is XORed once.
     # The XORs are reduced already; the set leaves coset_count one
     # reduction per hit coset
     hits = {0}
     for reps in classes.values():
+        size = len(reps)
+        if size >= 4 and not size & (size - 1):
+            s0 = next(iter(reps))
+            sub = f2._reduce((s ^ s0 for s in reps), n)
+            if 1 << sub.dim == size:
+                hits.update(sub.span())
+                continue
         hits.update(a ^ b for a, b in combinations(reps, 2))
     return f2.coset_count(hits, basis)
 
@@ -361,7 +379,7 @@ def _commuting_anticlique_candidate(
     candidate compresses the noise to scalars.
     """
     rows = sorted(lag)
-    j = next(j for j in range(n) if f2.reduce((*rows[: j + 1], w), n).dim == j + 1)
+    j = next(j for j in range(n) if f2._reduce((*rows[: j + 1], w), n).dim == j + 1)
     partners = f2.symplectic_partners((*rows[:j], *rows[j + 1 :], w), n)
     return _group_from_rows(partners[:-1], n)
 

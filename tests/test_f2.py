@@ -8,7 +8,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qramsey import f2
+from qramsey import channel, f2, ramsey, stabilizer
+from qramsey.pauli import PauliOperator, hermitian_rep
 
 from helpers import extend_basis
 
@@ -184,6 +185,31 @@ class TestTwistedKernel:
             assert kernel.dim == 2 * n - rank
             for v in kernel.span():
                 assert all(f2.twisted_dot(v, g, n) == 0 for g in gens)
+
+    def test_matches_brute_force_orthogonal_complement(self):
+        # against the definition: the canonical basis of every vector of
+        # F_2^{2n} that commutes with each generator, over empty,
+        # dependent and repeated generator sets
+        rng = random.Random(83)
+        for n in range(1, 5):
+            sets = [[]]
+            for _ in range(30):
+                gens = [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(1, 2 * n + 2))]
+                if len(gens) > 1 and rng.getrandbits(1):
+                    gens.append(gens[0] ^ gens[-1])
+                if rng.getrandbits(1):
+                    gens.append(rng.choice(gens))
+                sets.append(gens)
+            for gens in sets:
+                orthogonal = [
+                    v
+                    for v in range(1 << (2 * n))
+                    if all(f2.twisted_dot(v, g, n) == 0 for g in gens)
+                ]
+                assert f2.twisted_kernel(gens, n).rows == f2.reduce(orthogonal, n).rows, (
+                    n,
+                    gens,
+                )
 
 
 class TestExtendBasis:
@@ -445,6 +471,51 @@ class TestQubitCount:
             call()
 
 
+def _channel_of(v: int, n: int) -> channel.PauliChannel:
+    # built by hand: the parser and from_noise never make an out-of-range x
+    return channel.PauliChannel(n, ((PauliOperator(n, 0, v, 0), 1.0),))
+
+
+class TestVectorRange:
+    """Every public entry rejects a vector outside F_2^{2n}, checked where it enters."""
+
+    @pytest.mark.parametrize("v", [-1, 1 << 4], ids=["negative", "too_wide"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: f2.reduce([1, v], 2),
+            lambda v: f2.reduce_mod(v, f2.reduce([1], 2)),
+            lambda v: f2.in_span(v, f2.reduce([1], 2)),
+            lambda v: f2.twisted_dot(1, v, 2),
+            lambda v: f2.twisted_dot(v, 1, 2),
+            lambda v: f2.twisted_kernel([1, v], 2),
+            lambda v: f2.complete_lagrangian([v], 2),
+            lambda v: f2.symplectic_partners((1, v), 2),
+            lambda v: f2.coset_count([0, v], f2.reduce([1], 2)),
+            lambda v: f2.format_vector(v, 2),
+            lambda v: ramsey.compressed_dimension(
+                _channel_of(v, 2), stabilizer.from_string("ZI")
+            ),
+        ],
+        ids=[
+            "reduce",
+            "reduce_mod",
+            "in_span",
+            "twisted_dot_left",
+            "twisted_dot_right",
+            "twisted_kernel",
+            "complete_lagrangian",
+            "symplectic_partners",
+            "coset_count",
+            "format_vector",
+            "compressed_dimension",
+        ],
+    )
+    def test_out_of_range_rejected(self, call, v):
+        with pytest.raises(ValueError, match=r"does not fit in F_2\^4"):
+            call(v)
+
+
 # -- the row reduction and completion before the mask-based, incremental code;
 # the pinning tests below hold the current f2 to these copies
 
@@ -596,9 +667,6 @@ class TestPinnedToPerStepCode:
                 assert f2.reduce_mod(v, basis) == _old_reduce_mod(v, basis)
 
     def test_classify_json_matches_per_step_completion(self, monkeypatch):
-        from qramsey import channel, ramsey
-        from qramsey.pauli import hermitian_rep
-
         rng = random.Random(67)
         channels = []
         for n in range(6, 17):

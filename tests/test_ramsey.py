@@ -162,6 +162,52 @@ class TestCompressedDimension:
             )
         assert any(c > 2 for c in counts[30:60])
 
+    @staticmethod
+    def _count_work(monkeypatch):
+        """Spies on the reductions, the pairs XORed and the difference set.
+
+        ``f2.reduce_mod`` checks its vector and reduces it with
+        ``f2._reduce_mod``, which compressed_dimension calls directly for
+        checks it has already checked.  Each reduction counts once, made
+        through either; a public call counts even if it stops running
+        the private kernel.  Pairs are the ones drawn from
+        ``ramsey.combinations``.
+        """
+        calls = {"reductions": 0, "pairs": 0, "difference_set": 0}
+        inside_public = [False]
+        real_reduce_mod = f2.reduce_mod
+        real_private = f2._reduce_mod
+        real_combinations = ramsey.combinations
+        real_difference_set = channel.difference_set
+
+        def counting_reduce_mod(v, basis):
+            calls["reductions"] += 1
+            inside_public[0] = True
+            try:
+                return real_reduce_mod(v, basis)
+            finally:
+                inside_public[0] = False
+
+        def counting_private(v, basis):
+            calls["reductions"] += not inside_public[0]
+            return real_private(v, basis)
+
+        def counting_combinations(items, r):
+            for pair in real_combinations(items, r):
+                calls["pairs"] += 1
+                yield pair
+
+        def counting_difference_set(channel_):
+            calls["difference_set"] += 1
+            return real_difference_set(channel_)
+
+        monkeypatch.setattr(f2, "reduce_mod", counting_reduce_mod)
+        monkeypatch.setattr(f2, "_reduce_mod", counting_private)
+        monkeypatch.setattr(ramsey, "combinations", counting_combinations)
+        monkeypatch.setattr(channel, "difference_set", counting_difference_set)
+        monkeypatch.setattr(ramsey, "difference_set", counting_difference_set)
+        return calls
+
     def test_counts_from_the_checks_not_the_differences(self, monkeypatch):
         # a maximal n=10 channel has m = 1,024 checks and 1,024 distinct
         # differences out of m^2 pairs; each check is reduced once against
@@ -171,27 +217,34 @@ class TestCompressedDimension:
         ch = channel.maximal_stabilizer_channel(random_group(rng, n, n))
         m = len(ch.operators)
         assert m == 1 << n
-        calls = {"reduce_mod": 0, "difference_set": 0}
-        real_reduce_mod = f2.reduce_mod
-        real_difference_set = channel.difference_set
-
-        def counting_reduce_mod(v, basis):
-            calls["reduce_mod"] += 1
-            return real_reduce_mod(v, basis)
-
-        def counting_difference_set(channel_):
-            calls["difference_set"] += 1
-            return real_difference_set(channel_)
-
-        monkeypatch.setattr(f2, "reduce_mod", counting_reduce_mod)
-        monkeypatch.setattr(channel, "difference_set", counting_difference_set)
-        monkeypatch.setattr(ramsey, "difference_set", counting_difference_set)
+        calls = self._count_work(monkeypatch)
         for k in (1, 2):
-            calls["reduce_mod"] = 0
+            calls["reductions"] = 0
             code = random_group(rng, n, n - k)
             assert ramsey.compressed_dimension(ch, code) == 2**k
-            assert calls["reduce_mod"] <= 2 * m + 4**k, k
+            assert 2 * m <= calls["reductions"] <= 2 * m + 4**k, k
         assert calls["difference_set"] == 0
+
+    def test_affine_classes_cost_two_to_the_k(self, monkeypatch):
+        # a code cut from a maximal channel's Lagrangian L puts all m = 2^n
+        # checks in one class, whose L(R) representatives are a coset of a
+        # 2^k-element subspace: its hits are that subspace, found without
+        # the 4^k / 2 pairs.  At k = 1 the class of two is still paired,
+        # which shows that the pair spy sees the pair loop.
+        n = 12
+        rng = random.Random(12)
+        group = random_group(rng, n, n)
+        ch = channel.maximal_stabilizer_channel(group)
+        m = len(ch.operators)
+        calls = self._count_work(monkeypatch)
+        for k in (1, 10, 12):
+            calls["reductions"] = calls["pairs"] = 0
+            code = stabilizer.validate(group.generators[: n - k], n=n)
+            assert ramsey.compressed_dimension(ch, code) == 2**k
+            if k == 1:
+                assert calls["pairs"] > 0
+            else:
+                assert calls["reductions"] + calls["pairs"] <= 2 * m + 2**k, k
 
 
 class TestCliqueAnticliquePredicates:
