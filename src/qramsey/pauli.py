@@ -108,7 +108,10 @@ class PauliOperator:
             )
         m = np.array([[_PHASES[self.phase % 4]]], dtype=complex)
         for j in range(self.n):
-            m = np.kron(m, _SINGLE[(self.x >> j) & 1, (self.z >> j) & 1])
+            # the Kronecker product m ⊗ s, formed without np.kron's overhead
+            s = _SINGLE[(self.x >> j) & 1, (self.z >> j) & 1]
+            size = 2 * len(m)
+            m = (m[:, None, :, None] * s[None, :, None, :]).reshape(size, size)
         return m
 
     def __str__(self) -> str:

@@ -201,22 +201,24 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
 # candidates of one (n, d) once each, in canonical order, and each
 # candidate R' = R + v has exactly one canonical parent R one level up.
 # Every level is stored once per (n, d), and only as arrays: the basis
-# rows, the parent's index, and three channel-independent arrays for the
+# rows, the parent's index, and two channel-independent arrays for the
 # quotient R'^⊥/R'.  Its canonical coset representatives are the vectors
 # of R'^⊥ clear at the pivots of R', in ascending order ("reps"); they are
 # exactly the parent's representatives x that commute with v and are
-# clear at v's pivot, and "lift" holds their positions among the parent's.
-# The parent's representatives form a subspace whose ascending order is
-# linear in the position (see f2.echelon), so x ⊕ v sits at lift ^ offset,
-# "offset" being v's position.  As x + R' is the union of x + R and
-# x ⊕ v + R, the cosets of R' that W hits follow from the parent's by two
-# gathers and an OR, whatever |W| is: a search marks W in one boolean row
-# of width 4^n and walks down the levels, each candidate's count being its
-# row's sum.  A witness record is fixed by (n, d, candidate, kind), so each
-# candidate keeps the SearchWitness built on its first hit as each kind,
-# and later searches gather them with one fancy index.  A candidate's two
-# records share one stabilizer group, built from its array row and
-# validated once per process.
+# clear at v's pivot.  The parent's representatives form a subspace whose
+# ascending order is linear in the position (see f2.echelon), so if x sits
+# at position c among them, x ⊕ v sits at c ^ o, o being v's position.
+# As x + R' is the union of x + R and x ⊕ v + R, the cosets of R' that W
+# hits follow from the parent's by two gathers and an OR, whatever |W| is:
+# a search marks W in one boolean row of width 4^n and walks down the
+# levels, each candidate's count being its row's sum.  The two gathers'
+# flat positions in the parent level's rows ("gather") depend only on
+# (n, d), so each level computes them once, as it is built.  A witness
+# record is fixed by (n, d, candidate, kind), so each candidate keeps the
+# SearchWitness built on its first hit as each kind, and later searches
+# gather them with one fancy index.  A candidate's two records share one
+# stabilizer group, built from its array row and validated once per
+# process.
 
 # elements per chunk of a level's build and of its walk step; bounds their
 # temporaries
@@ -232,8 +234,10 @@ class _Candidates:
     rows: np.ndarray  # uint64 (count, d): canonical basis rows
     parents: np.ndarray  # intp (count,): the canonical parent's index one level up
     reps: np.ndarray  # (count, 4^k): ascending coset representatives of R^⊥/R
-    lift: np.ndarray  # (count, 4^k): their positions among the parent's reps
-    offset: np.ndarray  # (count,): position of the last row among the parent's reps
+    # uint32 (2, count, 4^k): flat positions of x and x ⊕ v in the parent
+    # level's (count, 4^(k+1)) array of rows, x running over reps; level 0
+    # has none, as the walk starts from the marked row of W
+    gather: np.ndarray
     # the memo: (0, 2) until the level's first hit, then (count, 2), so a
     # process whose searches hit no candidate here holds no memo for it
     records: np.ndarray  # object: SearchWitness per kind
@@ -277,14 +281,20 @@ def _candidates(n: int, d: int) -> _Candidates:
     """Level d of the walk, built from level d - 1 on first use.
 
     Level 0 is the zero subspace, whose representatives are all of
-    F_2^{2n}; its lift is the identity on the marked row of W, and its
-    offset 0, so the walk starts there like every other level.
+    F_2^{2n}.  Each later level keeps the flat positions its walk step
+    gathers from the parent level's rows, so a search repeats none of
+    that index arithmetic.
     """
     key = (n, d)
     if key in _SUBSPACE_CACHE:
         return _SUBSPACE_CACHE[key]
     if 2 * n * max(d - 1, 0) > 64:
         raise CapacityError(f"parent keys of level {d} at n={n} exceed 64 bits")
+    if d:
+        up = _candidates(n, d - 1)
+        width = up.reps.shape[1]
+        if len(up) * width > 1 << 32:
+            raise CapacityError(f"gather positions of level {d} at n={n} exceed 32 bits")
     # every basis row straight into one array, with no list of tuples between
     flat = np.fromiter(chain.from_iterable(f2.enumerate_isotropic(n, d)), np.uint64)
     rows = flat.reshape(-1, d) if d else np.zeros((1, 0), dtype=np.uint64)
@@ -293,14 +303,11 @@ def _candidates(n: int, d: int) -> _Candidates:
     if d == 0:
         parents = np.zeros(1, dtype=np.intp)
         reps = np.arange(1 << (2 * n), dtype=dtype)[None]
-        lift, offset = reps, np.zeros(1, dtype=dtype)
+        gather = np.zeros((2, 1, 0), dtype=np.uint32)
     else:
-        up = _candidates(n, d - 1)
         parents = np.searchsorted(_packed(up.rows, n), _packed(rows[:, :-1], n))
-        width = up.reps.shape[1]
         reps = np.empty((count, width // 4), dtype=dtype)
-        lift = np.empty((count, width // 4), dtype=dtype)
-        offset = np.empty(count, dtype=dtype)
+        gather = np.empty((2, count, width // 4), dtype=np.uint32)
         v = rows[:, -1].astype(dtype)
         swapped = f2.swap_halves(v, n)
         pivot = v & (~v + dtype.type(1))
@@ -311,15 +318,18 @@ def _candidates(n: int, d: int) -> _Candidates:
             keep = (np.bitwise_count(x & swapped[part, None]) & 1) == 0
             keep &= (x & pivot[part, None]) == 0
             reps[part] = x[keep].reshape(-1, width // 4)
-            lift[part] = (np.flatnonzero(keep) & (width - 1)).reshape(-1, width // 4)
-            offset[part] = np.argmax(x == v[part, None], axis=1)
+            # positions within the chunk's rows, rebased onto the parents' rows
+            at = np.flatnonzero(keep).reshape(-1, width // 4) & (width - 1)
+            at |= parents[part, None] * width
+            gather[0, part] = at
+            at ^= np.argmax(x == v[part, None], axis=1)[:, None]
+            gather[1, part] = at
     level = _Candidates(
         n,
         rows,
         parents,
         reps,
-        lift,
-        offset,
+        gather,
         np.empty((0, 2), dtype=object),
         np.zeros((0, 2), dtype=bool),
     )
@@ -332,27 +342,23 @@ def _coset_counts(diffs: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
 
     ``diffs`` holds the difference set's vectors.  ``hit`` has one boolean
     row per candidate of a level, over its representatives: whether W
-    meets that coset.  Rows are 4^k wide, a power of two, so a parent's
-    row start ORed with ``lift`` is a flat index into the parent level,
-    and ``offset`` XORs into it.  A row's count is the bit count of its
-    bytes read as 32-bit words.
+    meets that coset.  Level 0's one row marks W; each later level's rows
+    are its two ``gather`` takes from the parent level's rows, ORed.  A
+    row's count is the bit count of its bytes read as 32-bit words.
     """
     hit = np.zeros((1, 1 << (2 * n)), dtype=bool)
     hit[0, diffs] = True
     counts = []
     for d in range(depth + 1):
-        level = _candidates(n, d)
-        width = hit.shape[1]
-        flat = hit.ravel()
-        hit = np.empty(level.lift.shape, dtype=bool)
-        step = max(1, _LEVEL_CHUNK // hit.shape[1])
-        for lo in range(0, len(level), step):
-            part = slice(lo, lo + step)
-            at = level.lift[part].astype(np.intp)
-            at |= level.parents[part, None] * width
-            np.take(flat, at, out=hit[part])
-            at ^= level.offset[part, None]
-            hit[part] |= flat[at]
+        if d:
+            gather = _candidates(n, d).gather
+            flat = hit.ravel()
+            hit = np.empty(gather.shape[1:], dtype=bool)
+            step = max(1, _LEVEL_CHUNK // hit.shape[1])
+            for lo in range(0, len(hit), step):
+                part = slice(lo, lo + step)
+                np.take(flat, gather[0, part], out=hit[part])
+                hit[part] |= np.take(flat, gather[1, part])
         words = np.bitwise_count(hit.view(np.uint32))  # 4^k bytes, k >= 1
         counts.append(np.einsum("ij->i", words, dtype=np.intp))
     return counts

@@ -51,8 +51,14 @@ class StabilizerGroup:
         return self.n - len(self.generators)
 
     def check_basis(self) -> f2.F2Basis:
-        """Canonical basis of the check-vector image L(S)."""
-        return f2.reduce((g.check_vector() for g in self.generators), self.n)
+        """Canonical basis of the check-vector image L(S).
+
+        The canonical generators' check vectors are already fully reduced,
+        each with its lowest set bit as pivot, so ordered by pivot they are
+        the basis ``f2.reduce`` would return.
+        """
+        rows = sorted((g.check_vector() for g in self.generators), key=lambda v: v & -v)
+        return f2.F2Basis(self.n, tuple(rows))
 
     def __str__(self) -> str:
         return to_string(self)

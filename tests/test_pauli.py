@@ -89,6 +89,31 @@ class TestDenseConvention:
     def test_phase_prefix(self):
         assert np.array_equal(parse("-iZZ").to_dense(), -1j * np.kron(Z, Z))
 
+    @staticmethod
+    def _kron_chain(p):
+        # the product to_dense forms, taken with np.kron one factor at a time
+        m = np.array([[(1, 1j, -1, -1j)[p.phase]]], dtype=complex)
+        for j in range(p.n):
+            m = np.kron(m, [[I2, Z], [X, X @ Z]][(p.x >> j) & 1][(p.z >> j) & 1])
+        return m
+
+    def _assert_bit_equal_to_kron(self, p):
+        dense, kron = p.to_dense(), self._kron_chain(p)
+        assert dense.dtype == kron.dtype and dense.shape == kron.shape
+        assert dense.tobytes() == kron.tobytes(), p
+
+    def test_to_dense_is_the_kron_chain_up_to_three_qubits(self):
+        for n in (1, 2, 3):
+            for x in range(1 << n):
+                for z in range(1 << n):
+                    for phase in range(4):
+                        self._assert_bit_equal_to_kron(PauliOperator(n, phase, x, z))
+
+    def test_to_dense_is_the_kron_chain_at_four_qubits(self):
+        rng = random.Random(44)
+        for _ in range(100):
+            self._assert_bit_equal_to_kron(random_pauli(rng, 4))
+
     def test_capacity_bound(self):
         assert identity(4).to_dense().shape == (16, 16)
         with pytest.raises(

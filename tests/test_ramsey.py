@@ -654,10 +654,55 @@ class TestConstructionInternals:
                 for d in range(n):
                     assert counts[d].tolist() == expected[c, d], (chunk, n, d)
             for key, level in ramsey._SUBSPACE_CACHE.items():
-                for name in ("rows", "parents", "reps", "lift", "offset"):
+                for name in ("rows", "parents", "reps", "gather"):
                     assert np.array_equal(
                         getattr(level, name), getattr(built[key], name)
                     ), (chunk, key, name)
+
+    def test_walk_counts_match_the_definition_at_four_qubits(self):
+        # sampled candidates at every d against the count over all of W
+        rng = random.Random(43)
+        n = 4
+        chs = [
+            channel.from_noise(
+                [hermitian_rep(rng.randrange(1 << (2 * n)), n) for _ in range(m)], n=n
+            )
+            for m in (1, 3, 6, 12, 16)
+        ]
+        for ch in chs:
+            diffs = np.fromiter(channel.difference_set(ch), dtype=np.intp)
+            counts = ramsey._coset_counts(diffs, n, n - 1)
+            for d in range(n):
+                level = ramsey._candidates(n, d)
+                for i in rng.sample(range(len(level)), min(12, len(level))):
+                    group = ramsey._group_from_rows(tuple(level.rows[i].tolist()), n)
+                    assert counts[d][i] == definitional_compressed_dimension(ch, group), (
+                        d,
+                        str(group),
+                    )
+
+    def test_gather_positions_must_fit_in_32_bits(self, monkeypatch):
+        # a parent level of 2^24 + 1 rows 256 wide has positions past
+        # 2^32 - 1, the largest uint32; the child level is refused before it
+        # is enumerated (broadcast views stand in for the parent's arrays)
+        count, width = (1 << 24) + 1, 256
+        up = ramsey._Candidates(
+            5,
+            np.broadcast_to(np.zeros(1, dtype=np.uint64), (count, 1)),
+            np.broadcast_to(np.zeros(1, dtype=np.intp), (count,)),
+            np.broadcast_to(np.zeros(1, dtype=np.uint16), (count, width)),
+            np.broadcast_to(np.zeros(1, dtype=np.uint32), (2, count, width)),
+            np.empty((0, 2), dtype=object),
+            np.zeros((0, 2), dtype=bool),
+        )
+        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {(5, 1): up})
+
+        def no_enumeration(*args):
+            raise AssertionError("level enumerated before its capacity check")
+
+        monkeypatch.setattr(f2, "enumerate_isotropic", no_enumeration)
+        with pytest.raises(CapacityError, match="32 bits"):
+            ramsey._candidates(5, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_walk_counts_closed_forms(self, n):
@@ -685,26 +730,28 @@ class TestConstructionInternals:
                 assert set(counts[d].tolist()) == {2 ** (n - d)}, (n, d)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_lift_and_offset_pick_x_and_x_plus_v(self, n):
+    def test_gathers_pick_x_and_x_plus_v(self, n):
         # the representatives of R' = R + v are the parent's that commute
-        # with v and are clear at v's pivot; lift finds each such x among
-        # the parent's, lift ^ offset finds x ⊕ v, and offset finds v
+        # with v and are clear at v's pivot; gather[0] finds each such x
+        # among the parent level's flat representatives, within its
+        # parent's row, and gather[1] finds x ⊕ v in the same row
+        assert ramsey._candidates(n, 0).gather.size == 0
         for d in range(1, n):
             level = ramsey._candidates(n, d)
             up = ramsey._candidates(n, d - 1)
             assert np.array_equal(up.rows[level.parents], level.rows[:, :-1])
-            parent_reps = up.reps[level.parents].astype(np.int64)
-            x = np.take_along_axis(parent_reps, level.lift.astype(np.intp), 1)
-            v = level.rows[:, -1].astype(np.int64)
-            assert np.array_equal(x, level.reps)
-            shifted = level.lift ^ level.offset[:, None]
-            assert np.array_equal(
-                np.take_along_axis(parent_reps, shifted.astype(np.intp), 1),
-                x ^ v[:, None],
-            )
-            offset = level.offset.astype(np.intp)[:, None]
-            assert np.array_equal(np.take_along_axis(parent_reps, offset, 1)[:, 0], v)
-            assert (np.diff(level.lift.astype(np.int64), axis=1) > 0).all()
+            assert level.gather.dtype == np.uint32
+            assert level.gather.shape == (2, *level.reps.shape)
+            flat_reps = up.reps.ravel()
+            v = level.rows[:, -1].astype(level.reps.dtype)
+            assert np.array_equal(flat_reps[level.gather[0]], level.reps)
+            assert np.array_equal(flat_reps[level.gather[1]], level.reps ^ v[:, None])
+            width = up.reps.shape[1]
+            for gather in level.gather:
+                assert np.array_equal(
+                    gather // width, np.broadcast_to(level.parents[:, None], gather.shape)
+                )
+            assert (np.diff(level.gather[0].astype(np.int64), axis=1) > 0).all()
             # the representatives are exactly R^⊥ cleared at R's pivots
             for i in random.Random(d).sample(range(len(level)), min(20, len(level))):
                 basis = f2.reduce(level.rows[i].tolist(), n)

@@ -114,6 +114,18 @@ class TestCanonicalForm:
             key = lambda p: (p.phase, p.x, p.z)
             assert sorted(map(key, raw)) == sorted(map(key, regen))
 
+    def test_check_basis_is_the_reduced_check_vectors(self):
+        # check_basis reads the canonical generators' check vectors instead
+        # of reducing them again; the result must be f2.reduce's basis
+        rng = random.Random(17)
+        for n in range(1, 12):
+            for _ in range(10):
+                group = _random_group(rng, n)
+                checks = [g.check_vector() for g in group.generators]
+                assert group.check_basis() == f2.reduce(checks, n), str(group)
+            empty = stabilizer.validate([], n=n)
+            assert empty.check_basis() == f2.reduce([], n) == f2.F2Basis(n, ())
+
     def test_string_round_trip(self):
         group = stabilizer.from_string("ZZI,IZZ")
         assert str(group) == "ZIZ,IZZ"
