@@ -19,11 +19,18 @@ anticlique construction finds nothing of its Lagrangian missing from W.
 A witness it builds is verified rather than trusted.  An `Inconsistent`
 answer therefore means a constructed candidate failed its verification,
 which would be a counterexample worth reporting, not a bug to hide.
+
+The constructions read nothing of the channel beyond a pair (h, g) or a
+Lagrangian and one vector, so the two candidate builders, like
+`stabilizer.centralizer_image`, keep their last 256 results in a
+`functools.lru_cache`.  The verification does not: it runs on every call,
+on a kept candidate as on a new one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -231,7 +238,7 @@ _KINDS = ("anticlique", "clique")
 @dataclass(eq=False, slots=True)
 class _Candidates:
     n: int
-    rows: np.ndarray  # uint64 (count, d): canonical basis rows
+    rows: np.ndarray  # (count, d): canonical basis rows, in reps' dtype
     parents: np.ndarray  # intp (count,): the canonical parent's index one level up
     reps: np.ndarray  # (count, 4^k): ascending coset representatives of R^⊥/R
     # uint32 (2, count, 4^k): flat positions of x and x ⊕ v in the parent
@@ -269,11 +276,12 @@ _SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
 def _packed(rows: np.ndarray, n: int) -> np.ndarray:
     """One uint64 key per row tuple, ordered as the tuples; 2n bits a row.
 
-    Parents have at most n - 2 rows, so the keys fit for n <= 6.
+    Parents have at most n - 2 rows, so the keys fit for n <= 6.  The rows
+    may be stored narrower; each column is widened here.
     """
     key = np.zeros(len(rows), dtype=np.uint64)
     for column in rows.T:
-        key = (key << np.uint64(2 * n)) | column
+        key = (key << np.uint64(2 * n)) | column.astype(np.uint64)
     return key
 
 
@@ -295,11 +303,12 @@ def _candidates(n: int, d: int) -> _Candidates:
         width = up.reps.shape[1]
         if len(up) * width > 1 << 32:
             raise CapacityError(f"gather positions of level {d} at n={n} exceed 32 bits")
-    # every basis row straight into one array, with no list of tuples between
-    flat = np.fromiter(chain.from_iterable(f2.enumerate_isotropic(n, d)), np.uint64)
-    rows = flat.reshape(-1, d) if d else np.zeros((1, 0), dtype=np.uint64)
-    count = len(rows)
+    # every basis row straight into one array, with no list of tuples between;
+    # rows and reps hold 2n-bit vectors, so both take the narrowest dtype
     dtype = np.min_scalar_type((1 << (2 * n)) - 1)
+    flat = np.fromiter(chain.from_iterable(f2.enumerate_isotropic(n, d)), dtype)
+    rows = flat.reshape(-1, d) if d else np.zeros((1, 0), dtype=dtype)
+    count = len(rows)
     if d == 0:
         parents = np.zeros(1, dtype=np.intp)
         reps = np.arange(1 << (2 * n), dtype=dtype)[None]
@@ -308,7 +317,7 @@ def _candidates(n: int, d: int) -> _Candidates:
         parents = np.searchsorted(_packed(up.rows, n), _packed(rows[:, :-1], n))
         reps = np.empty((count, width // 4), dtype=dtype)
         gather = np.empty((2, count, width // 4), dtype=np.uint32)
-        v = rows[:, -1].astype(dtype)
+        v = rows[:, -1]
         swapped = f2.swap_halves(v, n)
         pivot = v & (~v + dtype.type(1))
         step = max(1, _LEVEL_CHUNK // width)
@@ -371,6 +380,7 @@ def _group_from_rows(rows: tuple[int, ...], n: int) -> StabilizerGroup:
 # -- constructive procedures -------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _commuting_anticlique_candidate(
     lag: tuple[int, ...], w: int, n: int
 ) -> StabilizerGroup:
@@ -390,6 +400,7 @@ def _commuting_anticlique_candidate(
     return _group_from_rows(partners[:-1], n)
 
 
+@lru_cache(maxsize=256)
 def _noncommuting_clique_candidate(h: int, g: int, n: int) -> StabilizerGroup:
     """Clique candidate for noise with the anticommuting check pair (h, g).
 
@@ -489,16 +500,20 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     algebra is that of a maximal stabilizer mixture, whose witness is L's
     canonical basis and whose compressed dimension is 1 (k = 0).
     Otherwise the smallest vector of L outside W drives the anticlique
-    construction.  A constructed candidate is verified; one that fails is
-    answered with Inconsistent and a diagnostic, since it would contradict
-    the theorem.  Every step is polynomial in n and the number of noise
-    operators, so ``limit`` (a qubit cap that raises CapacityError) is off
-    by default.
+    construction.  W is built in that commuting branch only; the clique
+    branch never reads it.  A constructed candidate is verified; one that
+    fails is answered with Inconsistent and a diagnostic, since it would
+    contradict the theorem.  Each candidate builder keeps its last 256
+    candidates (a bounded ``lru_cache``, keyed by (h, g, n) or (L, w, n)),
+    and so does ``centralizer_image``, which the verifying count reads;
+    the count itself runs on every call, so a kept candidate is verified
+    against each channel it is returned for.  Every step is polynomial in
+    n and the number of noise operators, so ``limit`` (a qubit cap that
+    raises CapacityError) is off by default.
     """
     n = ch.n
     if limit is not None and n > limit:
         raise CapacityError(f"classification limited to {limit} qubits, got {n}")
-    diffs = difference_set(ch)
     checks = sorted({op.check_vector() for op in ch.operators})
     shifted = sorted(c ^ checks[0] for c in checks)
     # the first anticommuting pair in the order of combinations(shifted, 2);
@@ -518,6 +533,7 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
         # L walked in ascending order without being built: w is found in
         # at most |W| + 1 steps, not the 2^n of the whole Lagrangian
         lag = f2.complete_lagrangian(f2.reduce(shifted, n).rows, n)
+        diffs = difference_set(ch)
         w = next((v for v in f2.ascending_span(lag) if v not in diffs), None)
         if w is None:
             # L = W, so the shifted checks span W and complete_lagrangian

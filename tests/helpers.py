@@ -6,8 +6,22 @@ that passes the same seed gets the same channels and groups.
 
 from collections.abc import Iterable
 
-from qramsey import channel, f2, stabilizer
+from qramsey import channel, f2, ramsey, stabilizer
 from qramsey.pauli import hermitian_rep, parse
+
+
+# the memos on classify's path: its two candidate builders and the
+# centralizer basis that the verifying count reads
+CLASSIFY_MEMOS = (
+    ramsey._commuting_anticlique_candidate,
+    ramsey._noncommuting_clique_candidate,
+    stabilizer.centralizer_image,
+)
+
+
+def clear_classify_memos() -> None:
+    for memo in CLASSIFY_MEMOS:
+        memo.cache_clear()
 
 
 def make_channel(*ops, n=None):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qramsey import channel, f2, ramsey, stabilizer
 from qramsey.pauli import PauliOperator, hermitian_rep
 
-from helpers import extend_basis
+from helpers import clear_classify_memos, extend_basis
 
 
 def vec(xs: str, zs: str) -> int:
@@ -675,8 +675,20 @@ class TestPinnedToPerStepCode:
                 noise = [0, *rng.sample(pool, 2 * n)]
                 channels.append(channel.from_noise([hermitian_rep(v, n) for v in noise], n=n))
         new = [ramsey.classify(ch).to_json_dict() for ch in channels]
-        monkeypatch.setattr(f2, "complete_lagrangian", _old_complete_lagrangian)
-        old = [ramsey.classify(ch).to_json_dict() for ch in channels]
+        # each channel completes one Lagrangian: in the commuting branch, or
+        # in the clique candidate, which a warm memo would not rebuild
+        completions = []
+
+        def per_step_completion(rows, n):
+            completions.append(n)
+            return _old_complete_lagrangian(rows, n)
+
+        monkeypatch.setattr(f2, "complete_lagrangian", per_step_completion)
+        old = []
+        for ch in channels:
+            clear_classify_memos()
+            old.append(ramsey.classify(ch).to_json_dict())
+        assert completions == [ch.n for ch in channels]
         assert new == old
         assert {d["verdict"] for d in new} <= {"Clique", "Anticlique"}
 

@@ -15,6 +15,8 @@ from qramsey import channel, f2, oracle, ramsey, stabilizer
 from qramsey.pauli import CapacityError, hermitian_rep, identity, parse
 
 from helpers import (
+    CLASSIFY_MEMOS,
+    clear_classify_memos,
     definitional_compressed_dimension,
     extend_basis,
     make_channel,
@@ -490,6 +492,80 @@ class TestClassify:
         assert "clique candidate IX" in result.diagnostic
         assert "{II, XI, ZI}" in result.diagnostic
 
+    def test_kept_candidates_are_verified_on_every_call(self, monkeypatch):
+        # the second classify of each channel takes its candidate from the
+        # memo, and a failed verification still answers Inconsistent
+        for noise, kind, memo in (
+            (("II", "XI", "ZI"), "clique", ramsey._noncommuting_clique_candidate),
+            (("II", "ZI"), "anticlique", ramsey._commuting_anticlique_candidate),
+        ):
+            ch = make_channel(*noise)
+            witness = ramsey.classify(ch).witness
+            hits = memo.cache_info().hits
+            with monkeypatch.context() as m:
+                m.setattr(ramsey, f"is_{kind}", lambda ch, group: False)
+                result = ramsey.classify(ch)
+            assert memo.cache_info().hits == hits + 1
+            assert result.tag == "Inconsistent"
+            assert result.witness is None
+            assert result.diagnostic == (
+                f"constructed {kind} candidate {witness} failed verification "
+                f"for noise {{{', '.join(noise)}}}; this contradicts the "
+                "trichotomy and is a reportable finding"
+            )
+
+    def test_difference_set_is_built_in_the_commuting_branch_only(self, monkeypatch):
+        n = 16
+        low = [1 << q for q in range(2 * n)] + [(1 << q) | (1 << (q + n)) for q in range(n)]
+        noise = [0, *random.Random(16).sample(low, 2 * n)]
+        noncommuting = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+        # the identity and Z on each qubit
+        commuting = channel.from_noise(
+            [hermitian_rep(v, n) for v in [0, *(1 << (q + n) for q in range(n))]], n=n
+        )
+        calls = TestCompressedDimension._count_work(monkeypatch)
+        assert ramsey.classify(noncommuting).tag == "Clique"
+        assert calls["difference_set"] == 0
+        assert ramsey.classify(commuting).tag == "Anticlique"
+        assert calls["difference_set"] == 1
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_memos_leave_the_json_unchanged(self, n):
+        # maximal channels, commuting subsets of a Lagrangian's coset, the
+        # identity with low-weight noise, and random noise; classified twice
+        # with the memos kept, then once each with every memo cleared first
+        rng = random.Random(900 + n)
+        low = [1 << q for q in range(2 * n)] + [(1 << q) | (1 << (q + n)) for q in range(n)]
+        noises = []
+        for _ in range(2):
+            span = random_group(rng, n, n).check_basis().span()
+            c = rng.randrange(1 << (2 * n))
+            noises.append([c ^ v for v in span])
+            # at most n of its 2^n vectors: too few for W to fill L
+            noises.append([c ^ v for v in rng.sample(span, rng.randrange(1, n + 1))])
+            noises.append([0, *rng.sample(low, rng.randrange(1, len(low)))])
+            noises.append(rng.sample(range(1 << (2 * n)), rng.randrange(2, 2 * n + 3)))
+        # one h = X on qubit 0 against several g: candidates that share h
+        for _ in range(3):
+            noises.append([0, 1, 1 << n | rng.randrange(1 << n) & ~1])
+        channels = [
+            channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+            for noise in noises
+        ]
+        hits = [memo.cache_info().hits for memo in CLASSIFY_MEMOS]
+        kept = [[ramsey.classify(ch).to_json_dict() for ch in channels] for _ in range(2)]
+        assert all(
+            memo.cache_info().hits > before for memo, before in zip(CLASSIFY_MEMOS, hits)
+        )
+        cleared = []
+        for ch in channels:
+            clear_classify_memos()
+            cleared.append(ramsey.classify(ch).to_json_dict())
+        assert kept[0] == kept[1] == cleared
+        assert {doc["verdict"] for doc in cleared} >= {
+            "MaximalStabilizerChannel", "Anticlique", "Clique"
+        }
+
     def test_large_n_noncommuting_noise_constructive_clique(self):
         # identity plus 32 weight-1/2 Paulis on 16 qubits; the identity
         # guarantees the constructive clique, so nothing is enumerated
@@ -758,6 +834,16 @@ class TestConstructionInternals:
                 kernel = f2.twisted_kernel(list(basis.rows), n)
                 want = sorted({f2.reduce_mod(u, basis) for u in kernel.span()})
                 assert level.reps[i].tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_are_stored_in_the_reps_dtype(self, n):
+        # 2n-bit rows fit the reps' dtype; _packed widens them to uint64
+        # itself, so its keys are those of the rows as uint64
+        for d in range(n + 1):
+            level = ramsey._candidates(n, d)
+            assert level.rows.dtype == level.reps.dtype == np.uint8
+            wide = level.rows.astype(np.uint64)
+            assert np.array_equal(ramsey._packed(level.rows, n), ramsey._packed(wide, n))
 
     def test_witness_groups_are_validated_once(self, validate_calls):
         ch = make_channel("III", "XII", "ZII", "IYI", "IIZ")
