@@ -196,7 +196,9 @@ def graph_dimension(channel: PauliChannel) -> int:
 
 
 def apply_dense(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the channel to a density matrix."""
+    """The channel's action sum_i w_i E_i rho E_i^dag on a density matrix:
+    the one reader of the weights, kept so that tests check the paper's
+    physics on the channel object."""
     if channel.n > DENSE_QUBIT_LIMIT:
         raise CapacityError(
             f"dense application limited to {DENSE_QUBIT_LIMIT} qubits, got {channel.n}"

@@ -15,6 +15,10 @@ the private :func:`_reduce` and :func:`_reduce_mod` skip that check, for
 vectors a caller has checked already or built in range.  A twisted
 kernel is read straight off one reduction of its constraints, in
 whichever echelon form its caller needs (see :func:`_kernel_rows`).
+Lowest-bit row reduction is written out once, in :func:`_rref`, which
+:func:`_reduce_tracked` runs on inputs carrying their index bit,
+``v_i | 1 << (2n + i)``: each row holds above bit 2n the inputs whose XOR
+is its part below, 0 once per dependent input.  No F2Basis holds such a row.
 :func:`enumerate_isotropic` alone works on numpy arrays: it builds each
 level of its orderly generation as one uint64 array in chunked passes,
 and yields plain-int bases from it.
@@ -22,7 +26,6 @@ and yields plain-int bases from it.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -120,20 +123,37 @@ def reduce(vectors: Iterable[int], n: int) -> F2Basis:
 
 def _reduce(vectors: Iterable[int], n: int) -> F2Basis:
     """:func:`reduce` for vectors already known to lie in F_2^{2n}."""
-    # each row's pivot as a mask, its lowest set bit: a pivot test is one AND
-    masks: list[int] = []
-    rows: list[int] = []
+    return F2Basis(n, tuple(_rref(vectors)))
+
+
+def _rref(vectors: Iterable[int]) -> list[int]:
+    """Fully reduced rows spanning ``vectors``, ascending in their pivots."""
+    # pivot mask (lowest set bit, held by no other row) -> row: any visit order
+    rows: dict[int, int] = {}
     for v in vectors:
-        for m, r in zip(masks, rows):
+        for m, r in rows.items():
             if v & m:
                 v ^= r
         if v:
             m = v & -v
-            rows = [r ^ v if r & m else r for r in rows]
-            k = bisect(masks, m)
-            masks.insert(k, m)
-            rows.insert(k, v)
-    return F2Basis(n, tuple(rows))
+            for k, r in rows.items():
+                if r & m:
+                    rows[k] = r ^ v
+            rows[m] = v
+    return [rows[m] for m in sorted(rows)]
+
+
+def _reduce_tracked(vectors: Sequence[int], n: int) -> list[tuple[int, int]]:
+    """(row, names) per row of the tracked reduction of ``vectors``.
+
+    ``row`` is the XOR of the inputs named by the set bits of ``names``.
+    The canonical basis of the span comes first, then one row 0 per
+    dependent input, naming a relation among the inputs.
+    """
+    width = 2 * n
+    coords = (1 << width) - 1
+    rows = _rref([v | 1 << (width + i) for i, v in enumerate(vectors)])
+    return [(r & coords, r >> width) for r in rows]
 
 
 def reduce_mod(v: int, basis: F2Basis) -> int:
@@ -426,40 +446,25 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
     deterministic: solve each dual system with free coordinates at zero,
     then sweep pairs (i < j), replacing u_j by u_j + h_i whenever u_j and
     u_i fail to commute.  A fix at step i cannot disturb earlier steps
-    because h_i pairs to zero with every u_m, m != i.
+    because h_i pairs to zero with every u_m, m != i.  The dual systems
+    share one tracked reduction of the swap_halves(h_j): as no reduced row
+    holds another's pivot, u_l is the OR of the pivots of the rows naming h_l.
     """
     _check_qubits(n)
     if len(rows) != n:
         raise ValueError(f"expected {n} rows for a Lagrangian basis, got {len(rows)}")
-    base = reduce(rows, n)
-    if base.dim != n:
+    for v in rows:
+        _check_vector(v, n)
+    reduced = _reduce_tracked([swap_halves(h, n) for h in rows], n)
+    if not reduced[-1][0]:
         raise ValueError("rows are dependent")
-    # rows are in range, checked by reduce: the twisted dot is the parity
-    # of u & swap_halves(v)
+    # rows are in range: the twisted dot is the parity of u & swap_halves(v)
     for i, u in enumerate(rows):
         su = swap_halves(u, n)
         if any((v & su).bit_count() & 1 for v in rows[i + 1 :]):
             raise ValueError("rows are not isotropic")
-    width = 2 * n
-    coef_mask = (1 << width) - 1
-    # RREF with right-hand-side tracking in the bits above the coefficients
-    red: list[tuple[int, int]] = []  # (augmented row, pivot mask)
-    for i, r in enumerate(rows):
-        row = swap_halves(r, n) | (1 << (width + i))
-        for other, m in red:
-            if row & m:
-                row ^= other
-        coef = row & coef_mask
-        m = coef & -coef
-        red = [(o ^ row if o & m else o, q) for o, q in red]
-        red.append((row, m))
-    partners = []
-    for l in range(n):
-        u = 0
-        for row, m in red:
-            if (row >> (width + l)) & 1:
-                u |= m
-        partners.append(u)
+    # the pivots are distinct bits, so their sum is their OR
+    partners = [sum(c & -c for c, names in reduced if names >> l & 1) for l in range(n)]
     for i in range(n):
         sw_i = swap_halves(partners[i], n)
         for j in range(i + 1, n):
@@ -467,14 +472,14 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
                 partners[j] ^= rows[i]
     # postconditions; a violation here is a finding, not something to patch
     for i, u in enumerate(partners):
+        su = swap_halves(u, n)
         for j, h in enumerate(rows):
-            if twisted_dot(u, h, n) != (1 if i == j else 0):
+            if (h & su).bit_count() & 1 != (i == j):
                 raise RuntimeError(
                     f"partner construction failed the duality pattern at ({i}, {j})"
                 )
-        for v in partners[i + 1:]:
-            if twisted_dot(u, v, n):
-                raise RuntimeError("partner construction left an anticommuting pair")
-    if _reduce((*rows, *partners), n).dim != width:
+        if any((v & su).bit_count() & 1 for v in partners[i + 1 :]):
+            raise RuntimeError("partner construction left an anticommuting pair")
+    if _reduce((*rows, *partners), n).dim != 2 * n:
         raise RuntimeError("partner construction did not complete a basis")
     return tuple(partners)

@@ -207,14 +207,14 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
 # the difference set W hits.  f2.enumerate_isotropic generates the
 # candidates of one (n, d) once each, in canonical order, and each
 # candidate R' = R + v has exactly one canonical parent R one level up.
-# Every level is stored once per (n, d), and only as arrays: the basis
-# rows, the parent's index, and two channel-independent arrays for the
-# quotient R'^⊥/R'.  Its canonical coset representatives are the vectors
-# of R'^⊥ clear at the pivots of R', in ascending order ("reps"); they are
-# exactly the parent's representatives x that commute with v and are
-# clear at v's pivot.  The parent's representatives form a subspace whose
-# ascending order is linear in the position (see f2.echelon), so if x sits
-# at position c among them, x ⊕ v sits at c ^ o, o being v's position.
+# Every level is stored once per (n, d), and only as arrays.  The
+# canonical coset representatives of R'^⊥/R' are the vectors of R'^⊥ clear
+# at the pivots of R', in ascending order ("reps"), kept only until the
+# child level is built; they are exactly the parent's representatives x
+# that commute with v and are clear at v's pivot.  Those form a subspace
+# whose ascending order is linear in the position (see f2.echelon), so if
+# x sits at position c among them, x ⊕ v sits at c ^ o, o being v's
+# position.
 # As x + R' is the union of x + R and x ⊕ v + R, the cosets of R' that W
 # hits follow from the parent's by two gathers and an OR, whatever |W| is:
 # a search marks W in one boolean row of width 4^n and walks down the
@@ -239,8 +239,7 @@ _KINDS = ("anticlique", "clique")
 class _Candidates:
     n: int
     rows: np.ndarray  # (count, d): canonical basis rows, in reps' dtype
-    parents: np.ndarray  # intp (count,): the canonical parent's index one level up
-    reps: np.ndarray  # (count, 4^k): ascending coset representatives of R^⊥/R
+    reps: np.ndarray | None  # (count, 4^k) coset reps; None once the child is built
     # uint32 (2, count, 4^k): flat positions of x and x ⊕ v in the parent
     # level's (count, 4^(k+1)) array of rows, x running over reps; level 0
     # has none, as the walk starts from the marked row of W
@@ -291,7 +290,7 @@ def _candidates(n: int, d: int) -> _Candidates:
     Level 0 is the zero subspace, whose representatives are all of
     F_2^{2n}.  Each later level keeps the flat positions its walk step
     gathers from the parent level's rows, so a search repeats none of
-    that index arithmetic.
+    that index arithmetic, and drops the parent level's reps.
     """
     key = (n, d)
     if key in _SUBSPACE_CACHE:
@@ -310,7 +309,6 @@ def _candidates(n: int, d: int) -> _Candidates:
     rows = flat.reshape(-1, d) if d else np.zeros((1, 0), dtype=dtype)
     count = len(rows)
     if d == 0:
-        parents = np.zeros(1, dtype=np.intp)
         reps = np.arange(1 << (2 * n), dtype=dtype)[None]
         gather = np.zeros((2, 1, 0), dtype=np.uint32)
     else:
@@ -333,10 +331,10 @@ def _candidates(n: int, d: int) -> _Candidates:
             gather[0, part] = at
             at ^= np.argmax(x == v[part, None], axis=1)[:, None]
             gather[1, part] = at
+        up.reps = None
     level = _Candidates(
         n,
         rows,
-        parents,
         reps,
         gather,
         np.empty((0, 2), dtype=object),
@@ -392,10 +390,12 @@ def _commuting_anticlique_candidate(
     partners of a basis of L that has w last: L's rows in ascending order,
     less the first row whose prefix spans w, then w.  Every difference
     vector then either anticommutes with some partner or is zero, so the
-    candidate compresses the noise to scalars.
+    candidate compresses the noise to scalars.  That row is the last that
+    w's relation to the rows names besides w (input n) itself.
     """
     rows = sorted(lag)
-    j = next(j for j in range(n) if f2._reduce((*rows[: j + 1], w), n).dim == j + 1)
+    names = f2._reduce_tracked((*rows, w), n)[-1][1]
+    j = (names ^ (1 << n)).bit_length() - 1
     partners = f2.symplectic_partners((*rows[:j], *rows[j + 1 :], w), n)
     return _group_from_rows(partners[:-1], n)
 

@@ -3,9 +3,9 @@
 A stabilizer group on n qubits is presented by m <= n generators that are
 Hermitian, pairwise commuting, and independent at the check-vector level;
 those three conditions already rule out -I as a product.  The canonical
-form re-expresses the generators so their check vectors are in reduced
-row echelon form (signs tracked exactly through the group product) and
-sorts them by check vector, so equal groups compare equal.
+generators are the products of generators, named by f2's tracked
+reduction, whose check vectors are the reduced row echelon basis; sorted
+by check vector, so equal groups compare equal.
 """
 
 from __future__ import annotations
@@ -93,31 +93,23 @@ def validate(generators: Sequence[PauliOperator], n: int | None = None) -> Stabi
         for j in range(i + 1, len(gens)):
             if not gens[i].commutes(gens[j]):
                 raise ValueError(f"generators anticommute: ({i + 1},{j + 1})")
-    return StabilizerGroup(n, _canonical(gens))
+    return StabilizerGroup(n, _canonical(gens, n))
 
 
-def _canonical(gens: list[PauliOperator]) -> tuple[PauliOperator, ...]:
-    # row reduce at the group level, one generator at a time as f2.reduce
-    # does: eliminating a pivot multiplies by the pivot generator, which
-    # keeps signs exact (products of commuting Hermitian Paulis are
-    # Hermitian).  A generator that reduces to check vector 0 is a product
-    # of the earlier ones.
-    rows: list[tuple[int, int, PauliOperator]] = []  # (pivot, check vector, op)
-    for g in gens:
-        v = g.check_vector()
-        for p, r, op in rows:
-            if (v >> p) & 1:
-                v ^= r
-                g = g.multiply(op)
+def _canonical(gens: list[PauliOperator], n: int) -> tuple[PauliOperator, ...]:
+    # the product of the commuting generators a reduced row names has that
+    # row as check vector and an exact sign; a row 0 names a product +-I
+    out = []
+    for v, names in f2._reduce_tracked([g.check_vector() for g in gens], n):
         if not v:
             raise ValueError("generator check vectors are dependent")
-        p = (v & -v).bit_length() - 1
-        rows = [
-            (q, r ^ v, op.multiply(g)) if (r >> p) & 1 else (q, r, op)
-            for q, r, op in rows
-        ]
-        rows.append((p, v, g))
-    return tuple(op for _, _, op in sorted(rows, key=lambda row: row[1]))
+        op = None
+        while names:
+            i = names.bit_length() - 1
+            op = gens[i] if op is None else op.multiply(gens[i])
+            names ^= 1 << i
+        out.append((v, op))
+    return tuple(op for _, op in sorted(out))
 
 
 def from_string(text: str, n: int | None = None) -> StabilizerGroup:

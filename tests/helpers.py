@@ -49,6 +49,58 @@ def random_group(rng, n, d=None):
     return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
 
 
+def random_isotropic_rows(rng, n, d):
+    """d independent, pairwise commuting check vectors on n qubits.
+
+    Unit x-vectors moved by 3n random symplectic transvections
+    v -> v + <v, u> u, which keep every twisted dot; no rejection
+    sampling, so large n and d stay cheap.
+    """
+    rows = [1 << j for j in rng.sample(range(n), d)]
+    for _ in range(3 * n):
+        u = rng.randrange(1, 1 << (2 * n))
+        su = f2.swap_halves(u, n)
+        rows = [v ^ u if (v & su).bit_count() & 1 else v for v in rows]
+    return rows
+
+
+def column_tracking_partners(rows, n):
+    """Symplectic partners of a Lagrangian basis by the former elimination.
+
+    Row reduction of the pairs (swap_halves(h_i), e_i) with the
+    right-hand sides kept in the bits above the coefficients, each pivot
+    the lowest coefficient bit, then the commuting sweep; no input or
+    output checks.  The reference that ``f2.symplectic_partners``, which
+    reads the same partners off ``f2._reduce_tracked``, must match.
+    """
+    width = 2 * n
+    coef_mask = (1 << width) - 1
+    # RREF with right-hand-side tracking in the bits above the coefficients
+    red: list[tuple[int, int]] = []  # (augmented row, pivot mask)
+    for i, r in enumerate(rows):
+        row = f2.swap_halves(r, n) | (1 << (width + i))
+        for other, m in red:
+            if row & m:
+                row ^= other
+        coef = row & coef_mask
+        m = coef & -coef
+        red = [(o ^ row if o & m else o, q) for o, q in red]
+        red.append((row, m))
+    partners = []
+    for l in range(n):
+        u = 0
+        for row, m in red:
+            if (row >> (width + l)) & 1:
+                u |= m
+        partners.append(u)
+    for i in range(n):
+        sw_i = f2.swap_halves(partners[i], n)
+        for j in range(i + 1, n):
+            if (partners[j] & sw_i).bit_count() & 1:
+                partners[j] ^= rows[i]
+    return tuple(partners)
+
+
 def extend_basis(partial: f2.F2Basis, candidates: Iterable[int]) -> f2.F2Basis:
     """Extend ``partial`` to a basis of span(candidates), greedily.
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,12 @@ from hypothesis import given, settings, strategies as st
 from qramsey import channel, f2, ramsey, stabilizer
 from qramsey.pauli import PauliOperator, hermitian_rep
 
-from helpers import clear_classify_memos, extend_basis
+from helpers import (
+    clear_classify_memos,
+    column_tracking_partners,
+    extend_basis,
+    random_isotropic_rows,
+)
 
 
 def vec(xs: str, zs: str) -> int:
@@ -442,6 +449,72 @@ class TestSymplecticPartners:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             f2.symplectic_partners([vec("00", "10")], 2)
+
+    def test_matches_column_tracking_reference(self):
+        # the partners read off the tracked reduction are the former
+        # elimination's: on every Lagrangian basis at n <= 3, in both
+        # orders, and on seeded completions up to n = 64
+        checked = 0
+        for n in range(1, 4):
+            for basis in f2.enumerate_isotropic(n, n):
+                for rows in (basis.rows, basis.rows[::-1]):
+                    assert f2.symplectic_partners(rows, n) == column_tracking_partners(
+                        rows, n
+                    ), (n, rows)
+                    checked += 1
+        rng = random.Random(89)
+        for n in range(4, 65):
+            start = random_isotropic_rows(rng, n, rng.randrange(n + 1))
+            rows = f2.complete_lagrangian(start, n)
+            assert f2.symplectic_partners(rows, n) == column_tracking_partners(rows, n), n
+            checked += 1
+        assert checked == 2 * (3 + 15 + 135) + 61
+
+    def test_rejections_in_order(self):
+        # range, then dependence, then isotropy
+        with pytest.raises(ValueError, match="does not fit"):
+            f2.symplectic_partners((1, 1, 1 << 6), 3)
+        with pytest.raises(ValueError, match="dependent"):
+            f2.symplectic_partners((1, 2, 3), 3)
+        with pytest.raises(ValueError, match="dependent"):
+            f2.symplectic_partners((1, 8, 1), 3)
+        with pytest.raises(ValueError, match="not isotropic"):
+            f2.symplectic_partners((1, 4), 2)
+
+
+class TestReduceTracked:
+    def test_rows_are_reduced_and_name_their_inputs(self):
+        # every row is the XOR of the inputs it names; the nonzero rows are
+        # the canonical basis, and each dependent input leaves one row 0
+        # after them, naming a relation
+        rng = random.Random(97)
+        relations = 0
+        for c in range(500):
+            n = 1 + c % 12
+            vecs = _random_vectors(rng, n)
+            if vecs and rng.random() < 0.5:
+                # sums of earlier inputs, so the relations span several inputs
+                picks = rng.sample(vecs, rng.randrange(1, len(vecs) + 1))
+                vecs.insert(rng.randrange(len(vecs) + 1), functools.reduce(xor, picks))
+            tracked = f2._reduce_tracked(vecs, n)
+            assert len(tracked) == len(vecs)
+            for row, names in tracked:
+                assert 0 <= row < 1 << (2 * n)
+                assert 0 < names < 1 << len(vecs)
+                named = [v for i, v in enumerate(vecs) if (names >> i) & 1]
+                assert functools.reduce(xor, named, 0) == row
+            nonzero = tuple(row for row, _ in tracked if row)
+            assert nonzero == f2.reduce(vecs, n).rows
+            assert tuple(row for row, _ in tracked[: len(nonzero)]) == nonzero
+            pivots = [row & -row for row in nonzero]
+            assert pivots == sorted(set(pivots))
+            assert not any(
+                row & p for i, row in enumerate(nonzero) for j, p in enumerate(pivots) if i != j
+            )
+            relations += len(vecs) - len(nonzero)
+            # the names are independent: no input set is named twice
+            assert len(f2.echelon(names for _, names in tracked)) == len(vecs)
+        assert relations > 300
 
 
 class TestQubitCount:

@@ -5,8 +5,10 @@ agreement over the whole n=2 landscape lives in the acceptance suite,
 so here the focus is the contracts and the worked examples.
 """
 
+import functools
 import random
 from itertools import combinations
+from operator import xor
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from helpers import (
     make_channel,
     random_channel,
     random_group,
+    random_isotropic_rows,
 )
 
 
@@ -676,6 +679,18 @@ class TestClassify:
         }
 
 
+def _built_levels(ns, depth=None):
+    """Levels 0..depth (n - 1 by default) of each n, built in order from
+    an empty cache, each with its reps as built; a level's child drops its
+    reps, which only the returned pair keeps."""
+    levels = {}
+    for n in ns:
+        for d in range(n if depth is None else depth + 1):
+            level = ramsey._candidates(n, d)
+            levels[n, d] = (level, level.reps)
+    return levels
+
+
 @pytest.fixture
 def validate_calls(monkeypatch):
     """Empty candidate cache; the list of ramsey's validate calls."""
@@ -710,6 +725,8 @@ class TestConstructionInternals:
         cases += [(2, FULL_P2), (2, MAXIMAL_X)]
         cases += [(2, random_channel(rng, 2, 8)) for _ in range(40)]
         cases += [(3, random_channel(rng, 3, 8)) for _ in range(5)]
+        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+        built = _built_levels(range(1, 4))
         expected = {}
         for c, (n, ch) in enumerate(cases):
             for d in range(n):
@@ -719,21 +736,20 @@ class TestConstructionInternals:
                     )
                     for rows in ramsey._candidates(n, d).rows.tolist()
                 ]
-        built = dict(ramsey._SUBSPACE_CACHE)
         for chunk in (ramsey._LEVEL_CHUNK, 1, 37):
             monkeypatch.setattr(ramsey, "_LEVEL_CHUNK", chunk)
             monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+            for key, (level, reps) in _built_levels(range(1, 4)).items():
+                want, want_reps = built[key]
+                assert np.array_equal(level.rows, want.rows), (chunk, key)
+                assert np.array_equal(reps, want_reps), (chunk, key)
+                assert np.array_equal(level.gather, want.gather), (chunk, key)
             for c, (n, ch) in enumerate(cases):
                 diffs = np.fromiter(channel.difference_set(ch), dtype=np.intp)
                 counts = ramsey._coset_counts(diffs, n, n - 1)
                 assert len(counts) == n
                 for d in range(n):
                     assert counts[d].tolist() == expected[c, d], (chunk, n, d)
-            for key, level in ramsey._SUBSPACE_CACHE.items():
-                for name in ("rows", "parents", "reps", "gather"):
-                    assert np.array_equal(
-                        getattr(level, name), getattr(built[key], name)
-                    ), (chunk, key, name)
 
     def test_walk_counts_match_the_definition_at_four_qubits(self):
         # sampled candidates at every d against the count over all of W
@@ -765,7 +781,6 @@ class TestConstructionInternals:
         up = ramsey._Candidates(
             5,
             np.broadcast_to(np.zeros(1, dtype=np.uint64), (count, 1)),
-            np.broadcast_to(np.zeros(1, dtype=np.intp), (count,)),
             np.broadcast_to(np.zeros(1, dtype=np.uint16), (count, width)),
             np.broadcast_to(np.zeros(1, dtype=np.uint32), (2, count, width)),
             np.empty((0, 2), dtype=object),
@@ -806,26 +821,30 @@ class TestConstructionInternals:
                 assert set(counts[d].tolist()) == {2 ** (n - d)}, (n, d)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_gathers_pick_x_and_x_plus_v(self, n):
+    def test_gathers_pick_x_and_x_plus_v(self, n, monkeypatch):
         # the representatives of R' = R + v are the parent's that commute
         # with v and are clear at v's pivot; gather[0] finds each such x
         # among the parent level's flat representatives, within its
         # parent's row, and gather[1] finds x ⊕ v in the same row
-        assert ramsey._candidates(n, 0).gather.size == 0
+        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+        levels = _built_levels([n])
+        assert levels[n, 0][0].gather.size == 0
         for d in range(1, n):
-            level = ramsey._candidates(n, d)
-            up = ramsey._candidates(n, d - 1)
-            assert np.array_equal(up.rows[level.parents], level.rows[:, :-1])
+            level, reps = levels[n, d]
+            up, up_reps = levels[n, d - 1]
+            width = up_reps.shape[1]
+            # the canonical parent of each row, read off its gathers
+            parents = level.gather[0, :, 0] // width
+            assert np.array_equal(up.rows[parents], level.rows[:, :-1])
             assert level.gather.dtype == np.uint32
-            assert level.gather.shape == (2, *level.reps.shape)
-            flat_reps = up.reps.ravel()
-            v = level.rows[:, -1].astype(level.reps.dtype)
-            assert np.array_equal(flat_reps[level.gather[0]], level.reps)
-            assert np.array_equal(flat_reps[level.gather[1]], level.reps ^ v[:, None])
-            width = up.reps.shape[1]
+            assert level.gather.shape == (2, *reps.shape)
+            flat_reps = up_reps.ravel()
+            v = level.rows[:, -1].astype(reps.dtype)
+            assert np.array_equal(flat_reps[level.gather[0]], reps)
+            assert np.array_equal(flat_reps[level.gather[1]], reps ^ v[:, None])
             for gather in level.gather:
                 assert np.array_equal(
-                    gather // width, np.broadcast_to(level.parents[:, None], gather.shape)
+                    gather // width, np.broadcast_to(parents[:, None], gather.shape)
                 )
             assert (np.diff(level.gather[0].astype(np.int64), axis=1) > 0).all()
             # the representatives are exactly R^⊥ cleared at R's pivots
@@ -833,17 +852,37 @@ class TestConstructionInternals:
                 basis = f2.reduce(level.rows[i].tolist(), n)
                 kernel = f2.twisted_kernel(list(basis.rows), n)
                 want = sorted({f2.reduce_mod(u, basis) for u in kernel.span()})
-                assert level.reps[i].tolist() == want
+                assert reps[i].tolist() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_rows_are_stored_in_the_reps_dtype(self, n):
+    def test_rows_are_stored_in_the_reps_dtype(self, n, monkeypatch):
         # 2n-bit rows fit the reps' dtype; _packed widens them to uint64
         # itself, so its keys are those of the rows as uint64
-        for d in range(n + 1):
-            level = ramsey._candidates(n, d)
-            assert level.rows.dtype == level.reps.dtype == np.uint8
+        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+        for (_, d), (level, reps) in _built_levels([n], n).items():
+            assert level.rows.dtype == reps.dtype == np.uint8
             wide = level.rows.astype(np.uint64)
             assert np.array_equal(ramsey._packed(level.rows, n), ramsey._packed(wide, n))
+
+    def test_only_the_deepest_built_level_keeps_its_reps(self, monkeypatch):
+        # a level's representatives are read only to build its child level,
+        # which drops them; searches on the remaining arrays, and on levels
+        # built again after the cache is cleared, give the same JSON
+        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+        n = 4
+        rng = random.Random(83)
+        chs = [random_channel(rng, n, m) for m in (3, 9, 17)]
+        chs.append(channel.maximal_stabilizer_channel(random_group(rng, n, n)))
+        shallow = ramsey.search(chs[0], "both", [3]).to_json_dict()
+        held = [ramsey._candidates(n, d).reps is not None for d in range(2)]
+        assert held == [False, True]
+        docs = [ramsey.search(ch, "both").to_json_dict() for ch in chs]
+        levels = [ramsey._candidates(n, d) for d in range(n)]
+        assert [level.reps is not None for level in levels] == [False, False, False, True]
+        assert levels[-1].reps.shape == (len(levels[-1]), 4)
+        ramsey._SUBSPACE_CACHE.clear()
+        assert [ramsey.search(ch, "both").to_json_dict() for ch in chs] == docs
+        assert ramsey.search(chs[0], "both", [3]).to_json_dict() == shallow
 
     def test_witness_groups_are_validated_once(self, validate_calls):
         ch = make_channel("III", "XII", "ZII", "IYI", "IIZ")
@@ -924,24 +963,35 @@ class TestConstructionInternals:
     def test_commuting_candidate_basis_matches_greedy_extension(self):
         # the construction's Lagrangian basis, w last, must be the one the
         # greedy extension of (w,) by L's rows gives, on noise drawn from
-        # isotropic spans at n = 1..10
+        # isotropic spans at n = 1..24.  The w that classify finds is
+        # mostly one of L's rows, so each case also builds from a random
+        # nonzero w of L, a sum of several rows as a rule
         rng = random.Random(41)
-        built = 0
-        for c in range(300):
-            n = 1 + c % 10
-            span = random_group(rng, n, rng.randrange(1, n + 1)).check_basis().span()
-            noise = rng.choices(span, k=rng.randrange(1, 9))
+        build = ramsey._commuting_anticlique_candidate.__wrapped__
+        built = sums = 0
+        for c in range(480):
+            n = 1 + c % 24
+            rows = random_isotropic_rows(rng, n, rng.randrange(1, n + 1))
+            noise = [
+                functools.reduce(xor, rng.sample(rows, rng.randrange(len(rows) + 1)), 0)
+                for _ in range(rng.randrange(1, 9))
+            ]
             ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
             if is_maximal_by_definition(channel.difference_set(ch), n):
                 continue
             lag, w = lagrangian_and_w(ch)
-            ordered = extend_basis(f2.reduce([w], n), lag).rows
-            partners = f2.symplectic_partners((*ordered[1:], w), n)
-            expected = ramsey._group_from_rows(partners[:-1], n)
-            cand = ramsey._commuting_anticlique_candidate(lag, w, n)
-            assert cand == expected, (n, [str(op) for op in ch.operators])
+            anywhere = functools.reduce(xor, rng.sample(lag, rng.randrange(1, n + 1)))
+            for v in (w, anywhere):
+                ordered = extend_basis(f2.reduce([v], n), lag).rows
+                partners = f2.symplectic_partners((*ordered[1:], v), n)
+                expected = ramsey._group_from_rows(partners[:-1], n)
+                assert build(lag, v, n) == expected, (n, v, [str(op) for op in ch.operators])
+            assert ramsey._commuting_anticlique_candidate(lag, w, n) == build(lag, w, n)
+            # a sum of two or more rows, whose first and last rows differ
+            sums += anywhere not in lag
             built += 1
-        assert built > 250
+        assert built > 400
+        assert sums > 300
 
     def test_noncommuting_candidate_shape(self):
         ch = make_channel("II", "XI", "ZI")

@@ -14,6 +14,8 @@ import pytest
 from qramsey import f2, stabilizer
 from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, parse
 
+from helpers import random_isotropic_rows
+
 
 def group_from_rows(rows, n):
     return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
@@ -192,12 +194,27 @@ class TestOnePassCanonical:
                     for _ in range(3):
                         gens = _scrambled_presentation(rng, basis.rows, n)
                         want = _outcome(lambda g: _column_sweep_canonical(g, n), gens)
-                        assert _outcome(stabilizer._canonical, gens) == want
+                        assert _outcome(lambda g: stabilizer._canonical(g, n), gens) == want
                         assert _outcome(
                             lambda g: stabilizer.validate(g, n=n).generators, gens
                         ) == want
                         errors += isinstance(want, str)
         assert errors > 200
+
+    def test_matches_column_sweep_on_seeded_subspaces(self):
+        # larger groups, whose canonical generators are products of many
+        # given ones, at n = 4..12
+        rng = random.Random(43)
+        errors = 0
+        for c in range(270):
+            n = 4 + c % 9
+            rows = random_isotropic_rows(rng, n, rng.randrange(n + 1))
+            gens = _scrambled_presentation(rng, rows, n)
+            want = _outcome(lambda g: _column_sweep_canonical(g, n), gens)
+            assert _outcome(lambda g: stabilizer._canonical(g, n), gens) == want
+            assert _outcome(lambda g: stabilizer.validate(g, n=n).generators, gens) == want
+            errors += isinstance(want, str)
+        assert 40 < errors < 200
 
 
 class TestElements:
