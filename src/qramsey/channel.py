@@ -50,6 +50,14 @@ class PauliChannel:
     n: int
     noise: tuple[tuple[PauliOperator, float], ...]
 
+    def __post_init__(self) -> None:
+        for i, (op, _) in enumerate(self.noise):
+            if op.n != self.n:
+                raise ValueError(
+                    f"noise operator {i + 1} ({op}) acts on {op.n} qubits, "
+                    f"expected {self.n}"
+                )
+
     @property
     def operators(self) -> tuple[PauliOperator, ...]:
         return tuple(op for op, _ in self.noise)

@@ -57,12 +57,29 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class PauliOperator:
-    """i^phase * X(x) Z(z) on n qubits; immutable and hashable."""
+    """i^phase * X(x) Z(z) on n qubits; immutable and hashable.
+
+    Built only in normal form: n >= 1, x and z below 2^n, and the phase
+    exponent in 0..3; anything else raises ValueError.
+    """
 
     n: int
     phase: int
     x: int
     z: int
+
+    def __post_init__(self) -> None:
+        # a wider x would be read as z bits of the check vector; one test
+        # passes every valid operator
+        if self.n < 1 or (self.x | self.z) >> self.n or self.phase & ~3:
+            if self.n < 1:
+                raise ValueError(f"qubit count must be positive, got {self.n}")
+            if self.phase & ~3:
+                raise ValueError(f"phase exponent must be in 0..3, got {self.phase}")
+            raise ValueError(
+                f"x = {self.x:#x}, z = {self.z:#x} does not fit in F_2^{2 * self.n}: "
+                f"each half holds {self.n} bits"
+            )
 
     def check_vector(self) -> int:
         """Packed image in F_2^{2n}: x in the low n bits, z above."""
@@ -127,8 +144,6 @@ class PauliOperator:
 
 
 def identity(n: int) -> PauliOperator:
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
     return PauliOperator(n, 0, 0, 0)
 
 

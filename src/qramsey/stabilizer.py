@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -135,13 +134,12 @@ def elements(group: StabilizerGroup) -> list[PauliOperator]:
     return out
 
 
-@lru_cache(maxsize=256)
 def centralizer_image(group: StabilizerGroup) -> f2.F2Basis:
     """Check-vector image of the centralizer: dimension n + k.
 
-    The basis is a pure function of the frozen group, so the last 256
-    groups' bases are kept (``centralizer_image.cache_clear()`` drops
-    them).  Equal groups share one entry.
+    Not memoized: each call reduces the generators' constraints afresh.
+    The verifying count in ``ramsey`` keeps the last 256 groups' tables,
+    each built from one call of this.
     """
     return f2.twisted_kernel(
         [g.check_vector() for g in group.generators], group.n

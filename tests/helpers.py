@@ -11,11 +11,11 @@ from qramsey.pauli import hermitian_rep, parse
 
 
 # the memos on classify's path: its two candidate builders and the
-# centralizer basis that the verifying count reads
+# verifying count's per-group table
 CLASSIFY_MEMOS = (
     ramsey._commuting_anticlique_candidate,
     ramsey._noncommuting_clique_candidate,
-    stabilizer.centralizer_image,
+    ramsey._count_table,
 )
 
 

@@ -588,6 +588,18 @@ class TestVectorRange:
         with pytest.raises(ValueError, match=r"does not fit in F_2\^4"):
             call(v)
 
+    @pytest.mark.parametrize("x", [4, 8])
+    def test_operator_bits_past_qubit_n_rejected(self, x):
+        # the check vector x | z << 2 of x = 8 would fit in F_2^4, read as Z
+        # on qubit 2: the operator is refused where it is built
+        with pytest.raises(ValueError, match=r"does not fit in F_2\^4"):
+            _channel_of(x, 2)
+
+    def test_mixed_qubit_counts_rejected(self):
+        ops = (PauliOperator(2, 0, 0, 0), PauliOperator(3, 0, 1, 0))
+        with pytest.raises(ValueError, match=r"operator 2 \(XII\) acts on 3 qubits, expected 2"):
+            channel.PauliChannel(2, tuple((op, 0.5) for op in ops))
+
 
 # -- the row reduction and completion before the mask-based, incremental code;
 # the pinning tests below hold the current f2 to these copies

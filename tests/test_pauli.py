@@ -122,6 +122,23 @@ class TestDenseConvention:
             identity(5).to_dense()
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 0, 0, 0), "qubit count must be positive, got 0"),
+            ((2, 4, 0, 0), r"phase exponent must be in 0\.\.3, got 4"),
+            ((2, -1, 0, 0), r"phase exponent must be in 0\.\.3, got -1"),
+            ((2, 0, 4, 0), r"x = 0x4, z = 0x0 does not fit in F_2\^4"),
+            ((2, 0, 0, 8), r"x = 0x0, z = 0x8 does not fit in F_2\^4"),
+            ((2, 0, -1, 0), r"x = -0x1, z = 0x0 does not fit in F_2\^4"),
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            PauliOperator(*args)
+
+
 class TestParseFormat:
     def test_parse_examples(self):
         op = parse("-iZZ")

@@ -167,34 +167,128 @@ class TestCompressedDimension:
             )
         assert any(c > 2 for c in counts[30:60])
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_matches_definition_on_affine_boundary_classes(self, n, monkeypatch):
+        # one class of 4, 8, 16 or 32 L(R) representatives that is a coset
+        # s0 + V, then that class less one vector, with one vector moved
+        # off the coset inside L(Z(R)), and with one moved to another
+        # class; k = 3, so L(Z(R)) holds 64 cosets of L(R).  Of these, only
+        # the whole classes of 16 and 32 are counted without pairs
+        rng = random.Random(200 + n)
+        calls = self._count_work(monkeypatch)
+        for j in (2, 3, 4, 5):
+            for _ in range(3):
+                group = random_group(rng, n, n - 3)
+                stabilizers = group.check_basis().rows
+                centralizer = stabilizer.centralizer_image(group)
+
+                def member():
+                    # a random vector of L(Z(R))
+                    return functools.reduce(
+                        xor, (r for r in centralizer.rows if rng.getrandbits(1)), 0
+                    )
+
+                def outside(vectors):
+                    # a vector of L(Z(R)) outside span(vectors) + L(R)
+                    while True:
+                        v = member()
+                        rows = (*vectors, v, *stabilizers)
+                        if f2.reduce(rows, n).dim == len(rows):
+                            return v
+
+                gens = []
+                while len(gens) < j:
+                    gens.append(outside(gens))
+                c0 = rng.randrange(1 << (2 * n))
+                coset = [c0 ^ v for v in f2.reduce(gens, n).span()]
+                away = next(
+                    v
+                    for v in iter(lambda: rng.randrange(1 << (2 * n)), None)
+                    if f2.reduce_mod(v, centralizer)
+                )
+                variants = [
+                    coset,
+                    coset[1:],
+                    [c0 ^ outside(gens), *coset[1:]],
+                    [c0 ^ away, *coset[1:]],
+                ]
+                for i, vectors in enumerate(variants):
+                    ch = channel.from_noise([hermitian_rep(v, n) for v in vectors], n=n)
+                    calls["pairs"] = 0
+                    count = ramsey.compressed_dimension(ch, group)
+                    assert count == definitional_compressed_dimension(ch, group), (j, i)
+                    if i == 0:
+                        assert count == 1 << j
+                        assert (calls["pairs"] == 0) == (j >= 4), j
+
+    def test_counts_on_every_call_with_the_table_kept(self, monkeypatch):
+        # equal groups presented differently share one table; with it kept,
+        # every call still walks it once per check and counts afresh
+        memo = ramsey._count_table
+        memo.cache_clear()
+        first = stabilizer.from_string("ZZI,IZZ")
+        second = stabilizer.from_string("ZIZ,IZZ")
+        assert first == second and first is not second
+        channels = [
+            make_channel("III", "XII"),
+            make_channel("III", "XII", "IXI", "IIX", "XXX"),
+            make_channel("ZII", "IYI", "XXZ"),
+        ]
+        calls = self._count_work(monkeypatch)
+        for ch in channels:
+            for group in (first, second):
+                expected = definitional_compressed_dimension(ch, group)
+                calls["reductions"] = 0
+                assert ramsey.compressed_dimension(ch, group) == expected
+                m = len(ch.noise)
+                assert m <= calls["reductions"] <= m + 4**group.k
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2 * len(channels) - 1, 1)
+
     @staticmethod
     def _count_work(monkeypatch):
         """Spies on the reductions, the pairs XORed and the difference set.
 
-        ``f2.reduce_mod`` checks its vector and reduces it with
-        ``f2._reduce_mod``, which compressed_dimension calls directly for
-        checks it has already checked.  Each reduction counts once, made
-        through either; a public call counts even if it stops running
-        the private kernel.  Pairs are the ones drawn from
-        ``ramsey.combinations``.
+        compressed_dimension reduces a check by one walk of its group's
+        table (``ramsey._count_table``), so the spy hands it tables whose
+        walks it counts.  ``f2.reduce_mod`` checks its vector and reduces
+        it with ``f2._reduce_mod``; each of those reductions counts once,
+        made through either, and a public call counts even if it stops
+        running the private kernel.  The reductions that build a table
+        are made once per group, not per check, and are not counted.
+        Pairs are the ones drawn from ``ramsey.combinations``.
         """
         calls = {"reductions": 0, "pairs": 0, "difference_set": 0}
-        inside_public = [False]
+        uncounted = [False]  # inside a public reduction or a table build
         real_reduce_mod = f2.reduce_mod
         real_private = f2._reduce_mod
+        real_table = ramsey._count_table
         real_combinations = ramsey.combinations
         real_difference_set = channel.difference_set
 
+        class CountedRows(tuple):
+            def __iter__(self):
+                calls["reductions"] += 1
+                return super().__iter__()
+
+        def counting_table(group):
+            uncounted[0] = True
+            try:
+                rows, basis = real_table(group)
+            finally:
+                uncounted[0] = False
+            return CountedRows(rows), basis
+
         def counting_reduce_mod(v, basis):
             calls["reductions"] += 1
-            inside_public[0] = True
+            uncounted[0] = True
             try:
                 return real_reduce_mod(v, basis)
             finally:
-                inside_public[0] = False
+                uncounted[0] = False
 
         def counting_private(v, basis):
-            calls["reductions"] += not inside_public[0]
+            calls["reductions"] += not uncounted[0]
             return real_private(v, basis)
 
         def counting_combinations(items, r):
@@ -206,6 +300,7 @@ class TestCompressedDimension:
             calls["difference_set"] += 1
             return real_difference_set(channel_)
 
+        monkeypatch.setattr(ramsey, "_count_table", counting_table)
         monkeypatch.setattr(f2, "reduce_mod", counting_reduce_mod)
         monkeypatch.setattr(f2, "_reduce_mod", counting_private)
         monkeypatch.setattr(ramsey, "combinations", counting_combinations)
@@ -215,8 +310,9 @@ class TestCompressedDimension:
 
     def test_counts_from_the_checks_not_the_differences(self, monkeypatch):
         # a maximal n=10 channel has m = 1,024 checks and 1,024 distinct
-        # differences out of m^2 pairs; each check is reduced once against
-        # each basis and each hit coset once more, and W is never built
+        # differences out of m^2 pairs; each check is reduced once, by one
+        # walk of the table of L(Z(R)), each hit coset once more, and W is
+        # never built
         n = 10
         rng = random.Random(10)
         ch = channel.maximal_stabilizer_channel(random_group(rng, n, n))
@@ -227,7 +323,7 @@ class TestCompressedDimension:
             calls["reductions"] = 0
             code = random_group(rng, n, n - k)
             assert ramsey.compressed_dimension(ch, code) == 2**k
-            assert 2 * m <= calls["reductions"] <= 2 * m + 4**k, k
+            assert m <= calls["reductions"] <= m + 4**k, k
         assert calls["difference_set"] == 0
 
     def test_affine_classes_cost_two_to_the_k(self, monkeypatch):
@@ -249,7 +345,7 @@ class TestCompressedDimension:
             if k == 1:
                 assert calls["pairs"] > 0
             else:
-                assert calls["reductions"] + calls["pairs"] <= 2 * m + 2**k, k
+                assert calls["reductions"] + calls["pairs"] <= m + 2**k, k
 
 
 class TestCliqueAnticliquePredicates:
