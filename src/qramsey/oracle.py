@@ -1,11 +1,11 @@
 """Brute-force dense-matrix verifier for the symplectic decision layer.
 
-Nothing in this module consults check vectors: noise quotients are formed
-with dense matrix products, the code from the product formula for its
-projector, and dimensions with the spectra of honest Gram matrices.
-Agreement with the bit-level routines is therefore evidence that both are
-right, which is the whole point.  Everything is deterministic given the
-seed.
+Nothing in this module consults check vectors: noise operators are the
+dense matrices of ``to_dense``, the code comes from the product formula
+for its projector, and dimensions from the spectra of honest Gram
+matrices.  Agreement with the bit-level routines is therefore evidence
+that both are right, which is the whole point.  Everything is
+deterministic given the seed.
 
 Every code predicate reads one compression, in code coordinates: with V
 the orthonormal code basis from ``eigh`` of the projector P = V V^+, each
@@ -15,20 +15,32 @@ Tr((V^+AV)^+ V^+BV), so both Gram matrices are one matrix; P Q P = cP
 exactly when V^+ Q V = cI, with equal Frobenius residuals; and the scalar
 Tr(PQP)/Tr(P) is Tr(V^+QV)/2^k.
 
-The hot paths are batched: the quotient stack and its compression are
-broadcast ``matmul`` calls, the scalar test reduces every compression at
-once over its matrix axes, and privacy sampling draws all pairs in one
-call and reads every overlap from one ``einsum``.
+Each dense quantity comes from the smallest exact problem that gives it;
+no m^2 stack of 2^n x 2^n quotients is formed.
+
+- Compressions come from factors: V^+ E_i^+ E_j V = B_i^+ B_j with
+  B_i = E_i V.  One product forms the m blocks B_i, and one Gram matrix
+  of the blocks side by side holds all m^2 compressions, for
+  m 4^n 2^k + m^2 2^n 4^k operations instead of m^2 8^n.
+- The graph rank reads 1 + m(m-1)/2 quotient lines, not m^2 quotients:
+  every E_i^+ E_i is one matrix, and E_j^+ E_i = +-E_i^+ E_j for Pauli
+  matrices, both checked exactly (see ``_quotient_lines``).  At m = 16
+  and n = 4 its Gram matrix is 121 x 121, not 256 x 256.
+- Privacy sampling draws all pairs in one call, and reads every overlap
+  from one product of the rows conj(a) (x) b with the flattened
+  compressions.
+- The scalar test reduces every compression at once over its matrix
+  axes.
 
 One ``qramsey verify`` report asks four questions of one (channel, code)
 pair, and the acceptance battery asks about many codes of one channel in
-a row.  So the stack of the last channel and the compression of the last
-(code, channel) pair are kept, read-only, and every call of a report
+a row.  So the operators of the last channel and the compression of the
+last (code, channel) pair are kept, read-only, and every call of a report
 after the first reuses them.  A rank is read from the eigenvalues of the
 smaller of the two Hermitian Gram matrices conj(F) F^T and F^T conj(F)
-of the flattened stack F, which share their nonzero spectrum: a
-compressed stack of m^2 quotients has rank at most 4^k, so at k = 1 the
-matrix is 4 x 4, not m^2 x m^2.
+of a flattened stack F, which share their nonzero spectrum: a compressed
+stack of m^2 quotients has rank at most 4^k, so at k = 1 the matrix is
+4 x 4, not m^2 x m^2.
 """
 
 from __future__ import annotations
@@ -88,50 +100,102 @@ def _code_basis(group: StabilizerGroup) -> np.ndarray:
 # One entry each: a report, and the battery's loops over codes, reuse only
 # the last channel and the last pair.
 @lru_cache(maxsize=1)
-def _quotient_stack(ch: PauliChannel) -> np.ndarray:
-    """All m^2 products E_i^+ E_j as a read-only (m^2, dim, dim) array."""
+def _operators(ch: PauliChannel) -> np.ndarray:
+    """The noise operators E_i as a read-only (m, 2^n, 2^n) array."""
     if ch.n > DENSE_QUBIT_LIMIT:
         raise CapacityError(
             f"dense oracle limited to {DENSE_QUBIT_LIMIT} qubits, got {ch.n}"
         )
     ops = np.stack([_dense(op) for op in ch.operators])
-    prods = ops.conj().transpose(0, 2, 1)[:, None] @ ops[None]
-    stack = prods.reshape(-1, *prods.shape[2:])
-    stack.flags.writeable = False
-    return stack
+    ops.flags.writeable = False
+    return ops
 
 
 @lru_cache(maxsize=1)
 def _code_quotients(group: StabilizerGroup, ch: PauliChannel) -> np.ndarray:
-    """Every V^+ Q V for Q in the stack, as a read-only (m^2, 2^k, 2^k) array."""
-    # the stack first, so that its capacity error precedes the projector's
-    stack = _quotient_stack(ch)
+    """Every V^+ E_i^+ E_j V, in (i, j) order, as a read-only (m^2, 2^k, 2^k) array.
+
+    With B_i = E_i V, each compression is B_i^+ B_j: the blocks B_i are
+    the columns of one (2^n, m 2^k) matrix X, and block (i, j) of X^+ X
+    is B_i^+ B_j, so one product gives them all.
+    """
+    # the operators first, so that their capacity error precedes the projector's
+    ops = _operators(ch)
     v = _code_basis(group)
-    reduced = v.conj().T @ stack @ v
+    m, size, dim = len(ops), *v.shape
+    blocks = (ops.reshape(m * size, size) @ v).reshape(m, size, dim)
+    x = blocks.transpose(1, 0, 2).reshape(size, m * dim)
+    gram = (x.conj().T @ x).reshape(m, dim, m, dim)
+    reduced = gram.transpose(0, 2, 1, 3).reshape(m * m, dim, dim)
     reduced.flags.writeable = False
     return reduced
 
 
-def _gram_rank(stack: np.ndarray) -> GramRankResult:
+def _quotient_lines(ch: PauliChannel) -> np.ndarray:
+    """The weighted quotient lines, a (1 + m(m-1)/2, 2^n, 2^n) array.
+
+    Line 0 is sqrt(m) E_0^+ E_0 and the rest are sqrt(2) E_i^+ E_j for
+    i < j, ordered by j and then by i.  Every E_i^+ E_i equals E_0^+ E_0
+    and E_j^+ E_i = (E_i^+ E_j)^+ is +-E_i^+ E_j, both checked exactly; so
+    the m^2 quotients are F = D U with U the unweighted lines and one entry
+    of modulus 1 in each row of D, m rows on line 0 and two on each other.
+    Then conj(F) F^T has the nonzero spectrum of U^T D^T conj(D) conj(U),
+    and D^T conj(D) = diag(m, 2, ..., 2): the lines' own Gram shares it.
+    """
+    ops = _operators(ch)
+    m, size = ops.shape[:2]
+    adjoints = ops.conj().transpose(0, 2, 1)
+    squares = adjoints @ ops
+    if not (squares == squares[0]).all():
+        raise RuntimeError("the E_i^+ E_i differ; the lines do not span the quotients")
+    lines = np.empty((1 + m * (m - 1) // 2, size, size), dtype=ops.dtype)
+    lines[0] = squares[0]
+    # the lines of one j are one product: E_0^+ .. E_{j-1}^+ stacked in
+    # rows, times E_j
+    rows = adjoints.reshape(m * size, size)
+    start = 1
+    for j in range(1, m):
+        out = lines[start : start + j].reshape(j * size, size)
+        np.matmul(rows[: j * size], ops[j], out=out)
+        start += j
+    upper = lines[1:].reshape(len(lines) - 1, size * size)
+    flipped = lines[1:].conj().transpose(0, 2, 1).reshape(upper.shape)
+    if not ((flipped == upper).all(axis=1) | (flipped == -upper).all(axis=1)).all():
+        raise RuntimeError(
+            "an E_i^+ E_j is neither Hermitian nor anti-Hermitian; "
+            "the lines do not span the quotients"
+        )
+    lines[0] *= np.sqrt(m)
+    lines[1:] *= np.sqrt(2)
+    return lines
+
+
+def _gram_rank(stack: np.ndarray, count: int | None = None) -> GramRankResult:
     """Rank and descending spectrum of the Gram matrix conj(F) F^T.
 
-    F is the (m^2, e) flattened stack.  conj(F) F^T and F^T conj(F) are
+    F is the (rows, e) flattened stack.  conj(F) F^T and F^T conj(F) are
     Hermitian positive semidefinite with one nonzero spectrum, so the
-    smaller is formed; when that is F^T conj(F), the m^2 - e values past
-    its e are exact zeros, as conj(F) F^T has rank at most e.  Rounding
-    below zero is clipped, so the values are the singular values of
-    conj(F) F^T.
+    smaller is formed; the values past its order are exact zeros.  The
+    spectrum is padded with zeros to ``count`` values (default: the row
+    count), so a stack of lines that shares the nonzero spectrum of m^2
+    quotients reports m^2 values.  Rounding below zero is clipped, so the
+    values are the singular values of conj(F) F^T.
     """
     flat = stack.reshape(stack.shape[0], -1)
     if flat.shape[0] <= flat.shape[1]:
         gram = flat.conj() @ flat.T
     else:
         gram = flat.T @ flat.conj()
-    values = np.zeros(flat.shape[0])
+    values = np.zeros(flat.shape[0] if count is None else count)
     values[: len(gram)] = np.maximum(np.linalg.eigvalsh(gram)[::-1], 0.0)
     top = values[0] if len(values) else 0.0
     rank = 0 if top <= 0 else int(np.count_nonzero(values > RANK_TOLERANCE * top))
-    return GramRankResult(rank, tuple(float(v) for v in values))
+    return GramRankResult(rank, tuple(values.tolist()))
+
+
+def _graph_rank(ch: PauliChannel) -> GramRankResult:
+    """The Gram rank of the m^2 quotients E_i^+ E_j, read off their lines."""
+    return _gram_rank(_quotient_lines(ch), len(ch.operators) ** 2)
 
 
 def _scalars(compressed: np.ndarray) -> np.ndarray | None:
@@ -160,7 +224,7 @@ def dense_compressed_dimension(
 
 def dense_graph_dimension(ch: PauliChannel) -> GramRankResult:
     """Uncompressed span dimension of {E_i^+ E_j}."""
-    return _gram_rank(_quotient_stack(ch))
+    return _graph_rank(ch)
 
 
 def kl_check(ch: PauliChannel, group: StabilizerGroup) -> bool:
@@ -184,7 +248,7 @@ def dense_maximal_check(ch: PauliChannel, group: StabilizerGroup) -> bool:
         raise ValueError(
             f"group has {group.num_generators} generators, need {group.n} for maximal"
         )
-    if _gram_rank(_quotient_stack(ch)).rank != 1 << ch.n:
+    if _graph_rank(ch).rank != 1 << ch.n:
         return False
     scalars = _scalars(_code_quotients(group, ch))
     return scalars is not None and bool((np.abs(scalars) > SCALAR_TOLERANCE).all())
@@ -201,7 +265,9 @@ def private_witness_check(
     as evidence at this seed and sample count.
 
     All pairs come from one ``normal(size=(samples, 4, 2^k))`` draw, in
-    code coordinates, and every overlap <a|V^+ Q V|b> from one ``einsum``.
+    code coordinates.  Every overlap <a|V^+ Q V|b> is the dot product of
+    the row conj(a) (x) b with the flattened V^+ Q V, so one matrix product
+    gives them all.
     A ``b`` whose component orthogonal to ``a`` has norm at most 1e-6 is
     drawn again from the same generator after the batch, in sample order,
     until none is left (see ``_code_pairs``).
@@ -216,7 +282,8 @@ def private_witness_check(
         raise ValueError("code dimension is 1; privacy needs an orthogonal pair")
     reduced = _code_quotients(group, ch)
     a, b = _code_pairs(np.random.default_rng(seed), samples, reduced.shape[1])
-    overlaps = np.einsum("sa,qab,sb->sq", a.conj(), reduced, b, optimize=True)
+    pairs = (a.conj()[:, :, None] * b[:, None, :]).reshape(samples, -1)
+    overlaps = pairs @ reduced.reshape(len(reduced), -1).T
     return bool((np.abs(overlaps) > SCALAR_TOLERANCE).any(axis=1).all())
 
 

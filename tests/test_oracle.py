@@ -309,11 +309,36 @@ def random_pairs(seed, count, max_n=4):
 
 
 class TestBatchedAgainstLoops:
-    def test_quotient_stack_is_exact(self):
+    def test_quotient_lines_are_exact(self):
+        # line 0 is sqrt(m) E_0^+ E_0, then sqrt(2) E_i^+ E_j for i < j by
+        # j and then i, each exactly the loop's quotient times its weight
+        sizes = set()
         for ch, _ in random_pairs(37, 30):
-            batched = oracle._quotient_stack(ch)
-            assert batched.shape == (len(ch.operators) ** 2, 1 << ch.n, 1 << ch.n)
-            assert np.array_equal(batched, loop_quotient_stack(ch))
+            m = len(ch.operators)
+            sizes.add(m)
+            stack = loop_quotient_stack(ch)
+            expected = [np.sqrt(m) * stack[0]] + [
+                np.sqrt(2) * stack[i * m + j] for j in range(m) for i in range(j)
+            ]
+            lines = oracle._quotient_lines(ch)
+            assert lines.shape == (1 + m * (m - 1) // 2, 1 << ch.n, 1 << ch.n)
+            assert np.array_equal(lines, expected)
+        assert min(sizes) == 1 and max(sizes) >= 6
+
+    def test_code_quotients_match_the_loop(self):
+        # every V^+ E_i^+ E_j V from the factors E_i V, in (i, j) order
+        pairs = list(random_pairs(71, 60))
+        rng = random.Random(73)
+        for n in range(1, 5):
+            for d in (n, 0):
+                ch = random_channel(rng, n, max_ops=9)
+                pairs.append((ch, random_group(rng, n, d)))
+        for ch, group in pairs:
+            v = oracle._code_basis(group)
+            expected = v.conj().T @ loop_quotient_stack(ch) @ v
+            reduced = oracle._code_quotients(group, ch)
+            assert reduced.shape == expected.shape
+            np.testing.assert_allclose(reduced, expected, rtol=0, atol=1e-12)
 
     def test_code_basis_spans_the_code(self):
         for _, group in random_pairs(57, 40):
@@ -449,11 +474,11 @@ def clique_pair():
 
 
 class TestPerReportReuse:
-    """One verify report builds the stack and the compression once."""
+    """One verify report builds the operators and the compression once."""
 
     @pytest.fixture(autouse=True)
     def empty_caches(self):
-        oracle._quotient_stack.cache_clear()
+        oracle._operators.cache_clear()
         oracle._code_quotients.cache_clear()
 
     def test_one_report_builds_each_once(self):
@@ -461,10 +486,10 @@ class TestPerReportReuse:
         doc, failures = cli._verify_report(ch, group, 0)
         assert not failures and "privacy" in doc
         # a builder runs on a miss only; the three code calls read one
-        # compression, which read the stack the graph rank reads
-        stack = oracle._quotient_stack.cache_info()
+        # compression, which read the operators the graph lines read
+        operators = oracle._operators.cache_info()
         compression = oracle._code_quotients.cache_info()
-        assert (stack.misses, stack.hits) == (1, 1)
+        assert (operators.misses, operators.hits) == (1, 1)
         assert (compression.misses, compression.hits) == (1, 2)
 
     def test_caches_keep_only_the_last_channel(self):
@@ -472,19 +497,68 @@ class TestPerReportReuse:
         other = make_channel("II", "XI", "ZI", "IZ")
         for c in (ch, other):
             assert not cli._verify_report(c, group, 0)[1]
-        for cached in (oracle._quotient_stack, oracle._code_quotients):
+        for cached in (oracle._operators, oracle._code_quotients):
             info = cached.cache_info()
             assert (info.currsize, info.misses) == (1, 2)
         assert np.array_equal(
-            oracle._quotient_stack(other), loop_quotient_stack(other)
+            oracle._operators(other), [op.to_dense() for op in other.operators]
         )
-        assert oracle._quotient_stack.cache_info().misses == 2
+        assert oracle._operators.cache_info().misses == 2
 
     def test_cached_arrays_are_read_only(self):
         ch, group = clique_pair()
-        for array in (oracle._quotient_stack(ch), oracle._code_quotients(group, ch)):
+        for array in (oracle._operators(ch), oracle._code_quotients(group, ch)):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0, 0] = 1
+
+
+class TestQuotientLines:
+    """The graph rank reads 1 + m(m-1)/2 lines in place of m^2 quotients."""
+
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        oracle._operators.cache_clear()
+        yield
+        oracle._operators.cache_clear()
+
+    def test_spectrum_of_a_maximal_channel_matches_the_full_gram(self):
+        # m = 16 at n = 4: 256 quotients, 121 lines, rank 16
+        group = random_group(random.Random(79), 4, d=4)
+        ch = channel.maximal_stabilizer_channel(group)
+        assert len(ch.operators) == 16
+        assert len(oracle._quotient_lines(ch)) == 121
+        flat = loop_quotient_stack(ch).reshape(256, -1)
+        values = np.linalg.svd(flat.conj() @ flat.T, compute_uv=False)
+        graph = oracle.dense_graph_dimension(ch)
+        assert graph.rank == 16 == np.count_nonzero(
+            values > oracle.RANK_TOLERANCE * values[0]
+        )
+        assert len(graph.singular_values) == 256
+        np.testing.assert_allclose(
+            graph.singular_values, values, rtol=0,
+            atol=oracle.RANK_TOLERANCE * values[0],
+        )
+
+    @staticmethod
+    def patch_x(monkeypatch, matrix):
+        """Make every operator but the identity dense as ``matrix``."""
+        monkeypatch.setattr(
+            oracle, "_dense", lambda op: matrix if op.x | op.z else op.to_dense()
+        )
+
+    def test_a_quotient_neither_hermitian_nor_anti_hermitian_raises(self, monkeypatch):
+        # S = diag(1, i) is unitary, so S^+ S = I^+ I, but the quotient
+        # I^+ S = S has S^+ = diag(1, -i), which is neither S nor -S
+        self.patch_x(monkeypatch, np.diag([1, 1j]))
+        with pytest.raises(RuntimeError, match="neither Hermitian nor anti-Hermitian"):
+            oracle.dense_graph_dimension(make_channel("I", "X"))
+
+    def test_unequal_squares_raise(self, monkeypatch):
+        self.patch_x(monkeypatch, 2 * make_channel("X").operators[0].to_dense())
+        with pytest.raises(RuntimeError, match="E_i\\^\\+ E_i differ"):
+            oracle.dense_maximal_check(
+                make_channel("I", "X"), stabilizer.from_string("Z")
+            )
 
 
 class DegenerateOnce:
