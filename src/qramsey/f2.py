@@ -396,8 +396,25 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
     in the form :func:`echelon` would give the new kernel.  The span so
     far is kept as a reduced basis that each added vector is inserted
     into, and kernel rows found inside it are not tested again.  Beyond
-    the O(d^2) entry checks on d input rows, the whole completion costs
-    O(n^2) row operations.
+    the O(d^2) entry checks on d input rows, the completion of more or
+    fewer than one row costs O(n^2) row operations.
+
+    One row h = a | b << n (a the x half, b the z half) has a closed form,
+    O(n) after its entry checks.  If b = 0 the added vectors are e_j for
+    every j < n other than top, the highest bit of a.  Otherwise they are
+    e_j, plus e_t when b holds bit j, for every j < n other than t, the
+    lowest bit of b.  Proof: every vector below 2^n is x-only, x-only
+    vectors commute pairwise, and the walk reaches them before any vector
+    with a z bit.  If b = 0, every x-only vector commutes with h, and the
+    walk takes e_j in ascending order, skipping only e_top, which lies in
+    span(h, e_0 .. e_{top-1}).  If b != 0, h is not x-only, so the x-only
+    vectors in the span so far are those of the vectors added, and the
+    x-only vectors commuting with h form the hyperplane
+    H_b = {c : parity(c & b) = 0}, of dimension n - 1.  For j != t the
+    smallest vector of H_b with top bit j is e_j when b_j = 0 and
+    e_j | e_t when b_j = 1, and no vector of H_b has top bit t.  These
+    n - 1 picks have distinct top bits, so they are the walk's picks and
+    complete the Lagrangian before any vector with a z bit is reached.
     """
     out = list(rows)
     base = reduce(out, n)
@@ -412,6 +429,14 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
                 )
     if len(out) == n:
         return tuple(out)
+    if len(out) == 1:
+        h = out[0]
+        b = h >> n
+        if not b:
+            top = h.bit_length() - 1
+            return (h, *[1 << j for j in range(n) if j != top])
+        t = (b & -b).bit_length() - 1
+        return (h, *[1 << j | (b >> j & 1) << t for j in range(n) if j != t])
     constraints = _reduce((swap_halves(v, n) for v in out), n).rows
     kernel = _kernel_rows(constraints, [r & -r for r in constraints], n)
     # span(out) as a fully reduced basis, with each row's pivot mask

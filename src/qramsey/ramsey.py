@@ -446,14 +446,15 @@ def _commuting_anticlique_candidate(
 def _noncommuting_clique_candidate(h: int, g: int, n: int) -> StabilizerGroup:
     """Clique candidate for noise with the anticommuting check pair (h, g).
 
-    Completes h to a Lagrangian and repairs each later basis vector that
-    anticommutes with g by adding h; the repaired rows generate the
-    candidate.  The candidate is guaranteed when h and g themselves lie in
-    the difference set, which holds when the checks contain 0: then
-    h = h ^ 0 and g = g ^ 0 are differences.  ``classify`` shifts the
-    checks so that they do, and passes their first anticommuting pair.
-    As in classify's pair scan, g is swapped once and each row's twisted
-    dot with g is the parity of ``v & swapped``.
+    Completes h to a Lagrangian, by the O(n) closed form that
+    :func:`f2.complete_lagrangian` has for one row, and repairs each later
+    basis vector that anticommutes with g by adding h; the repaired rows
+    generate the candidate.  The candidate is guaranteed when h and g
+    themselves lie in the difference set, which holds when the checks
+    contain 0: then h = h ^ 0 and g = g ^ 0 are differences.
+    ``classify`` shifts the checks so that they do, and passes their first
+    anticommuting pair.  As in classify's pair scan, g is swapped once and
+    each row's twisted dot with g is the parity of ``v & swapped``.
     """
     swapped = f2.swap_halves(g, n)
     rows = tuple(

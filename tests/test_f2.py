@@ -379,20 +379,25 @@ class TestLagrangianCompletion:
 
     def test_matches_smallest_admissible_by_brute_force(self):
         # the definition, step by step: the smallest nonzero kernel vector
-        # outside the span so far, found by scanning the whole kernel span
+        # outside the span so far, found by scanning the whole kernel span;
+        # seeded starts of every size, and every one-row start at n <= 3
         rng = random.Random(41)
-        for n in range(1, 6):
-            for d in range(n + 1):
-                for _ in range(4):
-                    start = _random_isotropic_rows(rng, n, d)
-                    expected = list(start)
-                    while len(expected) < n:
-                        kernel = f2.twisted_kernel(expected, n)
-                        base = f2.reduce(expected, n)
-                        expected.append(
-                            min(c for c in kernel.span() if c and not f2.in_span(c, base))
-                        )
-                    assert f2.complete_lagrangian(start, n) == tuple(expected)
+        starts = [
+            (n, _random_isotropic_rows(rng, n, d))
+            for n in range(1, 6)
+            for d in range(n + 1)
+            for _ in range(4)
+        ]
+        starts += [(n, [h]) for n in range(1, 4) for h in range(1, 1 << (2 * n))]
+        for n, start in starts:
+            expected = list(start)
+            while len(expected) < n:
+                kernel = f2.twisted_kernel(expected, n)
+                base = f2.reduce(expected, n)
+                expected.append(
+                    min(c for c in kernel.span() if c and not f2.in_span(c, base))
+                )
+            assert f2.complete_lagrangian(start, n) == tuple(expected), (n, start)
 
 
 class TestEchelon:
@@ -664,6 +669,23 @@ def _old_complete_lagrangian(rows, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _one_row_starts(rng: random.Random, n: int) -> list[int]:
+    """Edge cases of complete_lagrangian's one-row closed form, n >= 2:
+    x-only h with its top bit at qubit 0 and at qubit n - 1, Z on qubit
+    n - 1, z halves with their lowest bit at qubit 0 and at qubit n - 1,
+    then two random h."""
+    low = (1 << n) - 1
+    return [
+        1,
+        1 << (n - 1) | rng.randrange(1 << (n - 1)),
+        1 << (2 * n - 1),
+        (rng.randrange(low + 1) | 1) << n | rng.randrange(low + 1),
+        1 << (2 * n - 1) | rng.randrange(1, low + 1),
+        rng.randrange(1, 1 << (2 * n)),
+        rng.randrange(1, 1 << (2 * n)),
+    ]
+
+
 def _sampled_isotropic_rows(rng: random.Random, n: int, d: int) -> list[int]:
     # rejection sampling: no 2^(2n - d) kernel span, so n = 12 stays cheap
     rows: list[int] = []
@@ -712,14 +734,25 @@ class TestCutOrthogonal:
 
 class TestPinnedToPerStepCode:
     def test_complete_lagrangian_on_isotropic_starts(self):
+        # seeded starts of every size, every one-row start at n <= 5 and
+        # the one-row edge cases of the closed form up to n = 32
         rng = random.Random(53)
-        for n in range(1, 13):
-            for d in range(n + 1):
-                for _ in range(3):
-                    start = _sampled_isotropic_rows(rng, n, d)
-                    assert f2.complete_lagrangian(start, n) == _old_complete_lagrangian(
-                        start, n
-                    ), (n, start)
+        starts = [
+            (n, _sampled_isotropic_rows(rng, n, d))
+            for n in range(1, 13)
+            for d in range(n + 1)
+            for _ in range(3)
+        ]
+        starts += [(n, [h]) for n in range(1, 6) for h in range(1, 1 << (2 * n))]
+        starts += [
+            (n, [h])
+            for n in (*range(6, 13), 16, 20, 24, 28, 32)
+            for h in _one_row_starts(rng, n)
+        ]
+        for n, start in starts:
+            assert f2.complete_lagrangian(start, n) == _old_complete_lagrangian(
+                start, n
+            ), (n, start)
 
     def test_complete_lagrangian_on_low_weight_starts(self):
         # sparse starts leave many kernel rows inside the span, so the
@@ -776,6 +809,31 @@ class TestPinnedToPerStepCode:
         assert completions == [ch.n for ch in channels]
         assert new == old
         assert {d["verdict"] for d in new} <= {"Clique", "Anticlique"}
+
+    def test_clique_classify_reads_one_kernel(self, monkeypatch):
+        # the clique candidate's one-row completion is a closed form: no
+        # kernel and no cut, so the count table's L(Z(R)) is the only
+        # kernel a cold clique classify reads (the general walk makes n - 1
+        # cuts and reads a second kernel)
+        calls = {"_cut_orthogonal": 0, "_kernel_rows": 0}
+        for name in calls:
+            inner = getattr(f2, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(f2, name, counted)
+        rng = random.Random(73)
+        for n in (16, 64):
+            pool = _low_weight_vectors(n)
+            for _ in range(2):
+                noise = [0, *rng.sample(pool, 2 * n)]
+                ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+                clear_classify_memos()
+                calls.update(dict.fromkeys(calls, 0))
+                assert ramsey.classify(ch).tag == "Clique"
+                assert calls == {"_cut_orthogonal": 0, "_kernel_rows": 1}, n
 
 
 def _random_isotropic_rows(rng: random.Random, n: int, d: int) -> list[int]:
