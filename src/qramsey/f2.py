@@ -12,9 +12,10 @@ and v commute.  The routines on single vectors and bases are pure and
 allocation-light, since they sit on every classify and verify call.
 Each public function checks the vectors it is given where they enter;
 the private :func:`_reduce` and :func:`_reduce_mod` skip that check, for
-vectors a caller has checked already or built in range.  A twisted
-kernel is read straight off one reduction of its constraints, in
-whichever echelon form its caller needs (see :func:`_kernel_rows`).
+vectors a caller has checked already or built in range.  A kernel is
+read straight off one reduction of its constraints, in whichever echelon
+form its caller needs (see :func:`_kernel_rows`): the twisted kernel at
+width 2n, and the x-only vectors of a Lagrangian completion at width n.
 Lowest-bit row reduction is written out once, in :func:`_rref`, which
 :func:`_reduce_tracked` runs on inputs carrying their index bit,
 ``v_i | 1 << (2n + i)``: each row holds above bit 2n the inputs whose XOR
@@ -225,31 +226,32 @@ def ascending_span(rows: Iterable[int]) -> Iterator[int]:
         yield v
 
 
-def _kernel_rows(constraints: Sequence[int], pivots: Sequence[int], n: int) -> list[int]:
-    """The kernel {v : <v, r> = 0 for every constraint r}, one row per free bit.
+def _kernel_rows(constraints: Sequence[int], pivots: Sequence[int], width: int) -> list[int]:
+    """The kernel {v < 2^width : <v, r> = 0 for every constraint r}, one
+    row per free bit.
 
     ``constraints`` are fully reduced rows with distinct pivot bits
     ``pivots`` (as masks), no row holding another row's pivot.  For each
-    free bit f, that is each bit that is no pivot, the row is e_f plus the
-    pivot of every constraint that holds f: its dot with a constraint r is
-    r's bit f plus r's bit f again.  No row holds another row's free bit,
-    so the rows, ascending in f, are a fully reduced basis with f as the
-    distinguished bit of each.  Pivots at the lowest bits make every f the
-    highest bit of its row, and pivots at the highest bits make it the
-    lowest.
+    free bit f, that is each bit below ``width`` that is no pivot, the row
+    is e_f plus the pivot of every constraint that holds f: its dot with a
+    constraint r is r's bit f plus r's bit f again.  No row holds another
+    row's free bit, so the rows, ascending in f, are a fully reduced basis
+    with f as the distinguished bit of each.  Pivots at the lowest bits
+    make every f the highest bit of its row, and pivots at the highest
+    bits make it the lowest.  The rows are built by walking the set bits
+    of each constraint, every one of them free but its pivot: O(width)
+    plus the constraints' total weight.
     """
-    taken = sum(pivots)  # distinct bits, so the sum is their union
-    rows = []
-    for f in range(2 * n):
-        bit = 1 << f
-        if taken & bit:
-            continue
-        v = bit
-        for m, r in zip(pivots, constraints):
-            if r & bit:
-                v |= m
-        rows.append(v)
-    return rows
+    rows = [1 << f for f in range(width)]
+    for m, r in zip(pivots, constraints):
+        # clear the pivot's entry, which no other constraint's walk reaches
+        rows[m.bit_length() - 1] = 0
+        rest = r ^ m
+        while rest:
+            bit = rest & -rest
+            rows[bit.bit_length() - 1] |= m
+            rest ^= bit
+    return [v for v in rows if v]
 
 
 def twisted_kernel(generators: Sequence[int], n: int) -> F2Basis:
@@ -267,7 +269,7 @@ def twisted_kernel(generators: Sequence[int], n: int) -> F2Basis:
         _check_vector(g, n)
     constraints = echelon(swap_halves(g, n) for g in generators)
     tops = [1 << (r.bit_length() - 1) for r in constraints]
-    return F2Basis(n, tuple(_kernel_rows(constraints, tops, n)))
+    return F2Basis(n, tuple(_kernel_rows(constraints, tops, 2 * n)))
 
 
 def coset_count(hits: Iterable[int], sub: F2Basis) -> int:
@@ -360,61 +362,51 @@ def enumerate_isotropic(n: int, d: int) -> Iterator[F2Basis]:
             yield F2Basis(n, tuple(rows))
 
 
-def _cut_orthogonal(rows: list[int], sv: int) -> None:
-    """Cut span(rows) to the part twisted-orthogonal to v, in place.
-
-    ``sv`` is ``swap_halves(v, n)``.  The rows must be in the form
-    :func:`echelon` returns: fully reduced, top-bit echelon, ascending.
-    The first row b anticommuting with v is XORed into every later
-    anticommuting row and dropped.  Every other top stays with its row and
-    b's top leaves with b, so the rows keep that form, which is unique to
-    their span; rows before b are untouched.  One pass, O(len(rows)).
-    """
-    for j, b in enumerate(rows):
-        if (b & sv).bit_count() & 1:
-            del rows[j]
-            rows[j:] = [r ^ b if (r & sv).bit_count() & 1 else r for r in rows[j:]]
-            return
-
-
 def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """Extend independent, mutually twisted-orthogonal vectors to a
     Lagrangian (dimension-n isotropic) basis.
 
     The input rows come first.  Each added vector is the smallest nonzero
     vector (as an int) that is twisted-orthogonal to every row so far and
-    outside their span, so the completion is deterministic.  By the
-    ordering fact in :func:`echelon` that vector is the first row of the
-    kernel's top-bit echelon basis outside the current span.
+    outside their span, so the completion is deterministic.  Every added
+    vector is x-only (below 2^n), and all of them are read off at once.
 
-    The kernel of the input rows is computed and brought to that form
-    once: the constraints swap_halves(row) are reduced with pivots at
-    their lowest bits, and :func:`_kernel_rows` then gives each kernel row
-    a distinct highest bit held by no other row, which is already the
-    form :func:`echelon` returns.  Each added v then cuts the kernel to
-    its part orthogonal to v with :func:`_cut_orthogonal`, which leaves it
-    in the form :func:`echelon` would give the new kernel.  The span so
-    far is kept as a reduced basis that each added vector is inserted
-    into, and kernel rows found inside it are not tested again.  Beyond
-    the O(d^2) entry checks on d input rows, the completion of more or
-    fewer than one row costs O(n^2) row operations.
+    Lemma.  Let S = span(rows), of dimension d, let Z hold the z halves of
+    S, S_0 the x-only vectors of S, and X the x-only vectors commuting with
+    S: the c < 2^n with parity(c & z) = 0 for every z in Z.  The added
+    vectors are the rows of X's top-bit echelon basis (see :func:`echelon`)
+    whose highest bit is the highest bit of no vector of S_0.
 
-    One row h = a | b << n (a the x half, b the z half) has a closed form,
-    O(n) after its entry checks.  If b = 0 the added vectors are e_j for
-    every j < n other than top, the highest bit of a.  Otherwise they are
-    e_j, plus e_t when b holds bit j, for every j < n other than t, the
-    lowest bit of b.  Proof: every vector below 2^n is x-only, x-only
-    vectors commute pairwise, and the walk reaches them before any vector
-    with a z bit.  If b = 0, every x-only vector commutes with h, and the
-    walk takes e_j in ascending order, skipping only e_top, which lies in
-    span(h, e_0 .. e_{top-1}).  If b != 0, h is not x-only, so the x-only
-    vectors in the span so far are those of the vectors added, and the
-    x-only vectors commuting with h form the hyperplane
-    H_b = {c : parity(c & b) = 0}, of dimension n - 1.  For j != t the
-    smallest vector of H_b with top bit j is e_j when b_j = 0 and
-    e_j | e_t when b_j = 1, and no vector of H_b has top bit t.  These
-    n - 1 picks have distinct top bits, so they are the walk's picks and
-    complete the Lagrangian before any vector with a z bit is reached.
+    Proof.  Taking z halves maps S onto Z with kernel S_0, so
+    dim S_0 = d - dim Z, and dim X = n - dim Z.  X commutes with S and
+    x-only vectors commute pairwise, so S + X is isotropic; S_0 lies in X,
+    as S is isotropic, so S ∩ X = S_0 and S + X has dimension
+    d + (n - dim Z) - (d - dim Z) = n: it is Lagrangian.  Say the span so
+    far is T = S + Y with Y in X, as at the start.  While dim T < n, X is
+    not inside T, so some x-only vector commutes with T and lies outside
+    it; every x-only vector sorts before every vector with a z bit, so the
+    pick is x-only.  An x-only vector commuting with T lies in X, and X
+    commutes with T, so the pick is the smallest vector of X outside
+    T ∩ X = S_0 + Y, and T keeps its form.  With X's echelon rows
+    b_0 < b_1 < ..., the ordering fact in :func:`echelon` makes each pick
+    the first b_t outside S_0 + Y.  So, by induction on t, S_0 + Y is
+    S_0 + span(b_0, ..., b_{t-1}) when the walk reaches b_t, and it takes
+    b_t exactly when b_t lies outside that span.  A vector of X has the
+    highest bit of the last b it sums, so b_t lies inside exactly when
+    some vector of S_0 has b_t's highest bit.
+
+    The highest bits of S_0's vectors are those of the rows of
+    ``echelon(rows)`` below 2^n, since a vector of S below 2^n sums only
+    such rows.  X's echelon rows are :func:`_kernel_rows` of the z halves
+    reduced with pivots at their lowest bits, at width n: each row's free
+    bit is its highest bit and in no other row, which is the form
+    :func:`echelon` returns.  For one row h = a | b << n this gives: if
+    b = 0, then Z = 0, X's rows are e_0 .. e_{n-1} and S_0 = span(h), so
+    the added vectors are e_j for every j other than the highest bit of a;
+    otherwise S_0 = 0 and the pivot of b is t, its lowest bit, so they are
+    e_j, plus e_t when b holds bit j, for every j other than t.  Beyond
+    the O(d^2) entry checks, the completion costs O(d^2 + n*d): two
+    reductions of d rows, and the kernel rows.
     """
     out = list(rows)
     base = reduce(out, n)
@@ -427,38 +419,10 @@ def complete_lagrangian(rows: Sequence[int], n: int) -> tuple[int, ...]:
                     f"rows are not isotropic: {format_vector(u, n)} and "
                     f"{format_vector(v, n)} anticommute"
                 )
-    if len(out) == n:
-        return tuple(out)
-    if len(out) == 1:
-        h = out[0]
-        b = h >> n
-        if not b:
-            top = h.bit_length() - 1
-            return (h, *[1 << j for j in range(n) if j != top])
-        t = (b & -b).bit_length() - 1
-        return (h, *[1 << j | (b >> j & 1) << t for j in range(n) if j != t])
-    constraints = _reduce((swap_halves(v, n) for v in out), n).rows
-    kernel = _kernel_rows(constraints, [r & -r for r in constraints], n)
-    # span(out) as a fully reduced basis, with each row's pivot mask
-    span = list(base.rows)
-    masks = [r & -r for r in span]
-    i = 0  # kernel[:i] lies in span(out)
-    while len(out) < n:
-        v = w = kernel[i]
-        i += 1
-        for m, r in zip(masks, span):
-            if w & m:
-                w ^= r
-        if not w:
-            continue
-        out.append(v)
-        m = w & -w
-        span = [r ^ w if r & m else r for r in span]
-        span.append(w)
-        masks.append(m)
-        # kernel[:i] lies in the isotropic span(out), so commutes with v
-        # and the cut leaves it as it is
-        _cut_orthogonal(kernel, swap_halves(v, n))
+    taken = {r.bit_length() for r in echelon(out) if not r >> n}
+    z_halves = _rref(v >> n for v in out)
+    x_rows = _kernel_rows(z_halves, [r & -r for r in z_halves], n)
+    out += [v for v in x_rows if v.bit_length() not in taken]
     return tuple(out)
 
 

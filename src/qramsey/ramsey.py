@@ -446,10 +446,12 @@ def _commuting_anticlique_candidate(
 def _noncommuting_clique_candidate(h: int, g: int, n: int) -> StabilizerGroup:
     """Clique candidate for noise with the anticommuting check pair (h, g).
 
-    Completes h to a Lagrangian, by the O(n) closed form that
-    :func:`f2.complete_lagrangian` has for one row, and repairs each later
-    basis vector that anticommutes with g by adding h; the repaired rows
-    generate the candidate.  The candidate is guaranteed when h and g
+    Completes h to a Lagrangian with :func:`f2.complete_lagrangian`, whose
+    lemma gives one row in O(n): e_j for every j but the highest bit of h
+    when h is x-only, else e_j plus e_t where h's z half holds bit j, for
+    every j but t, the lowest bit of that z half.  It then repairs each
+    later basis vector that anticommutes with g by adding h; the repaired
+    rows generate the candidate.  The candidate is guaranteed when h and g
     themselves lie in the difference set, which holds when the checks
     contain 0: then h = h ^ 0 and g = g ^ 0 are differences.
     ``classify`` shifts the checks so that they do, and passes their first

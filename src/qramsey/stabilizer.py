@@ -168,7 +168,9 @@ def extend_to_maximal(group: StabilizerGroup) -> list[PauliOperator]:
 
     The originals come first, signs untouched; each added operator is the
     plus-signed Hermitian representative of the smallest admissible check
-    vector, so the completion is deterministic.
+    vector, so the completion is deterministic.  That vector is always
+    x-only (see :func:`f2.complete_lagrangian`), so every added operator
+    is X-type: a product of X's on some qubits.
     """
     rows = [g.check_vector() for g in group.generators]
     full = f2.complete_lagrangian(rows, group.n)

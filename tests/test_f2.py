@@ -10,7 +10,7 @@ from operator import xor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qramsey import channel, f2, ramsey, stabilizer
+from qramsey import channel, f2, ramsey, selftest, stabilizer
 from qramsey.pauli import PauliOperator, hermitian_rep
 
 from helpers import (
@@ -606,8 +606,8 @@ class TestVectorRange:
             channel.PauliChannel(2, tuple((op, 0.5) for op in ops))
 
 
-# -- the row reduction and completion before the mask-based, incremental code;
-# the pinning tests below hold the current f2 to these copies
+# -- the row reduction, kernel and greedy completion as first written, one step
+# at a time; the pinning tests below hold the current f2 to these copies
 
 def _old_pivot(v: int) -> int:
     return (v & -v).bit_length() - 1
@@ -670,10 +670,14 @@ def _old_complete_lagrangian(rows, n: int) -> tuple[int, ...]:
 
 
 def _one_row_starts(rng: random.Random, n: int) -> list[int]:
-    """Edge cases of complete_lagrangian's one-row closed form, n >= 2:
-    x-only h with its top bit at qubit 0 and at qubit n - 1, Z on qubit
-    n - 1, z halves with their lowest bit at qubit 0 and at qubit n - 1,
-    then two random h."""
+    """Edge cases of a one-row start h for complete_lagrangian, n >= 2.
+
+    By its lemma the added vectors are e_j for every j but the top bit of
+    an x-only h, and otherwise e_j, plus e_t where h's z half holds bit j,
+    for every j but t, the z half's lowest bit.  The cases: x-only h with
+    its top bit at qubit 0 and at qubit n - 1, Z on qubit n - 1, z halves
+    with their lowest bit at qubit 0 and at qubit n - 1, then two random h.
+    """
     low = (1 << n) - 1
     return [
         1,
@@ -684,18 +688,6 @@ def _one_row_starts(rng: random.Random, n: int) -> list[int]:
         rng.randrange(1, 1 << (2 * n)),
         rng.randrange(1, 1 << (2 * n)),
     ]
-
-
-def _sampled_isotropic_rows(rng: random.Random, n: int, d: int) -> list[int]:
-    # rejection sampling: no 2^(2n - d) kernel span, so n = 12 stays cheap
-    rows: list[int] = []
-    while len(rows) < d:
-        v = rng.randrange(1, 1 << (2 * n))
-        if all(f2.twisted_dot(v, r, n) == 0 for r in rows) and (
-            f2.reduce((*rows, v), n).dim > len(rows)
-        ):
-            rows.append(v)
-    return rows
 
 
 def _low_weight_vectors(n: int) -> list[int]:
@@ -716,29 +708,15 @@ def _random_vectors(rng: random.Random, n: int) -> list[int]:
     return [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(0, 2 * n + 3))]
 
 
-class TestCutOrthogonal:
-    def test_matches_echelon_of_orthogonal_part(self):
-        # against the definition: echelon() of every span vector commuting
-        # with v; v = 0 and other v commuting with every row change nothing
-        rng = random.Random(71)
-        for _ in range(400):
-            n = rng.randrange(1, 5)
-            rows = list(f2.echelon(_random_vectors(rng, n)))
-            v = rng.choice([0, rng.randrange(1 << (2 * n))])
-            expected = f2.echelon(
-                x for x in f2.F2Basis(n, tuple(rows)).span() if not f2.twisted_dot(x, v, n)
-            )
-            f2._cut_orthogonal(rows, f2.swap_halves(v, n))
-            assert tuple(rows) == expected, (n, v)
-
-
 class TestPinnedToPerStepCode:
     def test_complete_lagrangian_on_isotropic_starts(self):
-        # seeded starts of every size, every one-row start at n <= 5 and
-        # the one-row edge cases of the closed form up to n = 32
+        # seeded starts of every size, every one-row start at n <= 5, the
+        # one-row edge cases up to n = 32, and every canonical isotropic
+        # basis at n <= 3 in given and reversed order; every added vector
+        # is x-only, which is the lemma in complete_lagrangian
         rng = random.Random(53)
         starts = [
-            (n, _sampled_isotropic_rows(rng, n, d))
+            (n, selftest._random_isotropic_rows(rng, n, d))
             for n in range(1, 13)
             for d in range(n + 1)
             for _ in range(3)
@@ -749,14 +727,21 @@ class TestPinnedToPerStepCode:
             for n in (*range(6, 13), 16, 20, 24, 28, 32)
             for h in _one_row_starts(rng, n)
         ]
+        starts += [
+            (n, order(basis.rows))
+            for n in range(1, 4)
+            for d in range(n + 1)
+            for basis in f2.enumerate_isotropic(n, d)
+            for order in (list, lambda rows: rows[::-1])
+        ]
         for n, start in starts:
-            assert f2.complete_lagrangian(start, n) == _old_complete_lagrangian(
-                start, n
-            ), (n, start)
+            full = f2.complete_lagrangian(start, n)
+            assert full == _old_complete_lagrangian(start, n), (n, start)
+            assert all(v < 1 << n for v in full[len(start) :]), (n, start)
 
     def test_complete_lagrangian_on_low_weight_starts(self):
-        # sparse starts leave many kernel rows inside the span, so the
-        # membership test and the skip over rows already in the span both work
+        # sparse starts often hold x-only rows, so the added vectors skip
+        # the highest bits of a nonzero S_0
         rng = random.Random(59)
         for n in range(2, 13):
             for _ in range(4):
@@ -810,20 +795,18 @@ class TestPinnedToPerStepCode:
         assert new == old
         assert {d["verdict"] for d in new} <= {"Clique", "Anticlique"}
 
-    def test_clique_classify_reads_one_kernel(self, monkeypatch):
-        # the clique candidate's one-row completion is a closed form: no
-        # kernel and no cut, so the count table's L(Z(R)) is the only
-        # kernel a cold clique classify reads (the general walk makes n - 1
-        # cuts and reads a second kernel)
-        calls = {"_cut_orthogonal": 0, "_kernel_rows": 0}
-        for name in calls:
-            inner = getattr(f2, name)
+    def test_clique_classify_reads_two_kernels(self, monkeypatch):
+        # a cold clique classify reads exactly two kernels: X at width n,
+        # for the completion of h in the clique candidate, then the count
+        # table's L(Z(R)) at width 2n
+        widths = []
+        inner = f2._kernel_rows
 
-            def counted(*args, _name=name, _inner=inner):
-                calls[_name] += 1
-                return _inner(*args)
+        def counted(constraints, pivots, width):
+            widths.append(width)
+            return inner(constraints, pivots, width)
 
-            monkeypatch.setattr(f2, name, counted)
+        monkeypatch.setattr(f2, "_kernel_rows", counted)
         rng = random.Random(73)
         for n in (16, 64):
             pool = _low_weight_vectors(n)
@@ -831,9 +814,9 @@ class TestPinnedToPerStepCode:
                 noise = [0, *rng.sample(pool, 2 * n)]
                 ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
                 clear_classify_memos()
-                calls.update(dict.fromkeys(calls, 0))
+                widths.clear()
                 assert ramsey.classify(ch).tag == "Clique"
-                assert calls == {"_cut_orthogonal": 0, "_kernel_rows": 1}, n
+                assert widths == [n, 2 * n], n
 
 
 def _random_isotropic_rows(rng: random.Random, n: int, d: int) -> list[int]:

@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qramsey import f2, stabilizer
+from qramsey import f2, selftest, stabilizer
 from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, parse
 
 from helpers import random_isotropic_rows
@@ -19,30 +19,6 @@ from helpers import random_isotropic_rows
 
 def group_from_rows(rows, n):
     return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
-
-
-def _random_isotropic_rows(rng, n, d):
-    rows = []
-    while len(rows) < d:
-        v = rng.randrange(1, 1 << (2 * n))
-        if any(f2.twisted_dot(v, r, n) for r in rows):
-            continue
-        if f2.in_span(v, f2.reduce(rows, n)):
-            continue
-        rows.append(v)
-    return rows
-
-
-def _random_group(rng, n, d=None):
-    if d is None:
-        d = rng.randrange(0, n + 1)
-    gens = []
-    for v in _random_isotropic_rows(rng, n, d):
-        g = hermitian_rep(v, n)
-        if rng.random() < 0.5:
-            g = PauliOperator(n, (g.phase + 2) % 4, g.x, g.z)
-        gens.append(g)
-    return stabilizer.validate(gens, n=n)
 
 
 class TestValidate:
@@ -101,7 +77,7 @@ class TestCanonicalForm:
         rng = random.Random(5)
         for _ in range(50):
             n = rng.randrange(1, 4)
-            group = _random_group(rng, n)
+            group = selftest._random_group(rng, n)
             raw = [PauliOperator(n, 0, 0, 0)]
             for g in group.generators:
                 raw += [e.multiply(g) for e in raw]
@@ -122,7 +98,7 @@ class TestCanonicalForm:
         rng = random.Random(17)
         for n in range(1, 12):
             for _ in range(10):
-                group = _random_group(rng, n)
+                group = selftest._random_group(rng, n)
                 checks = [g.check_vector() for g in group.generators]
                 assert group.check_basis() == f2.reduce(checks, n), str(group)
             empty = stabilizer.validate([], n=n)
@@ -235,7 +211,7 @@ class TestElements:
         rng = random.Random(11)
         for _ in range(20):
             n = rng.randrange(1, 4)
-            group = _random_group(rng, n)
+            group = selftest._random_group(rng, n)
             elems = stabilizer.elements(group)
             assert elems[0] == PauliOperator(n, 0, 0, 0)
             assert len(elems) == 1 << group.num_generators
@@ -270,7 +246,7 @@ class TestCentralizerImage:
         for n in (1, 2, 3):
             for d in range(0, n + 1):
                 rng = random.Random(100 * n + d)
-                group = _random_group(rng, n, d)
+                group = selftest._random_group(rng, n, d)
                 image = stabilizer.centralizer_image(group)
                 assert image.dim == group.n + group.k
 
@@ -314,7 +290,7 @@ class TestProjector:
         rng = random.Random(23)
         for _ in range(25):
             n = rng.randrange(1, 4)
-            group = _random_group(rng, n)
+            group = selftest._random_group(rng, n)
             p = stabilizer.projector(group)
             assert np.allclose(p @ p, p)
             assert np.allclose(p, p.conj().T)
@@ -326,7 +302,7 @@ class TestProjector:
         rng = random.Random(29)
         for _ in range(25):
             n = rng.randrange(1, 4)
-            group = _random_group(rng, n)
+            group = selftest._random_group(rng, n)
             p = stabilizer.projector(group)
             total = sum(e.to_dense() for e in stabilizer.elements(group))
             assert np.allclose(p, total / (1 << group.num_generators))
@@ -374,7 +350,7 @@ class TestTraceOrthogonality:
         rng = random.Random(31)
         for _ in range(60):
             n = rng.randrange(1, 4)
-            group = _random_group(rng, n)
+            group = selftest._random_group(rng, n)
             p = stabilizer.projector(group)
             image = stabilizer.centralizer_image(group)
             span = list(image.span())
@@ -414,7 +390,7 @@ class TestExtendToMaximal:
         rng = random.Random(37)
         for _ in range(40):
             n = rng.randrange(1, 5)
-            group = _random_group(rng, n)
+            group = selftest._random_group(rng, n)
             full = stabilizer.extend_to_maximal(group)
             assert len(full) == n
             assert tuple(full[: group.num_generators]) == group.generators
@@ -436,7 +412,7 @@ class TestAnticommutingPartners:
         rng = random.Random(41)
         for _ in range(40):
             n = rng.randrange(1, 5)
-            ops = [hermitian_rep(v, n) for v in _random_isotropic_rows(rng, n, n)]
+            ops = [hermitian_rep(v, n) for v in selftest._random_isotropic_rows(rng, n, n)]
             partners = stabilizer.anticommuting_partners(ops)
             assert len(partners) == n
             for i, g in enumerate(partners):
