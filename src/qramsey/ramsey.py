@@ -20,11 +20,12 @@ A witness it builds is verified rather than trusted.  An `Inconsistent`
 answer therefore means a constructed candidate failed its verification,
 which would be a counterexample worth reporting, not a bug to hide.
 
-The constructions read nothing of the channel beyond a pair (h, g) or a
-Lagrangian and one vector, so the two candidate builders keep their last
-256 results in a `functools.lru_cache`, and so does the verifying
-count's per-group table.  The count itself does not: it runs on every
-call, on a kept candidate as on a new one.
+The constructions read nothing of the channel beyond a check h and the
+z half of its partner g, or a Lagrangian and one vector, so the two
+candidate builders keep their last 256 results in a `functools.lru_cache`
+keyed by those, and so does the verifying count's per-group table.  The
+count itself does not: it runs on every call, on a kept candidate as on
+a new one.
 """
 
 from __future__ import annotations
@@ -176,16 +177,16 @@ def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
     maximal channel every group is such a coset, and its 2^k values cost
     O(2^k) rather than 4^k/2 XORs.
 
-    Each check's range is checked once, as it enters.
+    The checks are not range-checked here.  Each operator's constructor
+    holds its x and z halves below 2^n, and the channel's holds every
+    operator on the channel's n qubits, so each check is below 4^n.
     """
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    n = ch.n
     table, basis = _count_table(group)
     classes: dict[int, set[int]] = {}
     for op, _ in ch.noise:
         c = op.check_vector()
-        f2._check_vector(c, n)
         rep = 0
         for pivot, r, image in table:
             if c & pivot:
@@ -443,7 +444,7 @@ def _commuting_anticlique_candidate(
 
 
 @lru_cache(maxsize=256)
-def _noncommuting_clique_candidate(h: int, g: int, n: int) -> StabilizerGroup:
+def _noncommuting_clique_candidate(h: int, gz: int, n: int) -> StabilizerGroup:
     """Clique candidate for noise with the anticommuting check pair (h, g).
 
     Completes h to a Lagrangian with :func:`f2.complete_lagrangian`, whose
@@ -455,12 +456,19 @@ def _noncommuting_clique_candidate(h: int, g: int, n: int) -> StabilizerGroup:
     themselves lie in the difference set, which holds when the checks
     contain 0: then h = h ^ 0 and g = g ^ 0 are differences.
     ``classify`` shifts the checks so that they do, and passes their first
-    anticommuting pair.  As in classify's pair scan, g is swapped once and
-    each row's twisted dot with g is the parity of ``v & swapped``.
+    anticommuting pair.
+
+    Only gz = g >> n, the z half of g, is passed, and it is all the
+    construction reads of g.  Proof: by the same lemma every vector v the
+    completion adds is x-only, v < 2^n, so v & swap_halves(g), whose
+    parity is the twisted dot of v and g, is v & (g >> n); g's x half
+    lands in bits n and up, where v has none.  So the repaired rows, the
+    candidate and its generators' signs are a function of (h, gz, n), and
+    the memo keys by that: pairs that differ only in g's x half share one
+    entry.
     """
-    swapped = f2.swap_halves(g, n)
     rows = tuple(
-        v ^ h if (v & swapped).bit_count() & 1 else v
+        v ^ h if (v & gz).bit_count() & 1 else v
         for v in f2.complete_lagrangian((h,), n)[1:]
     )
     return _group_from_rows(rows, n)
@@ -549,7 +557,8 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     branch never reads it.  A constructed candidate is verified; one that
     fails is answered with Inconsistent and a diagnostic, since it would
     contradict the theorem.  Each candidate builder keeps its last 256
-    candidates (a bounded ``lru_cache``, keyed by (h, g, n) or (L, w, n)),
+    candidates (a bounded ``lru_cache``, keyed by (h, g >> n, n) or
+    (L, w, n): the clique construction reads only g's z half),
     and the verifying count keeps its last 256 groups' tables; the count
     itself runs on every call, so a kept candidate is verified against
     each channel it is returned for.  Every step is polynomial in
@@ -593,7 +602,8 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
             return ClassificationResult("Anticlique", candidate, 1, 0)
         kind = "anticlique"
     else:
-        candidate = _noncommuting_clique_candidate(*pair, n)
+        h, g = pair
+        candidate = _noncommuting_clique_candidate(h, g >> n, n)
         if is_clique(ch, candidate):
             return ClassificationResult(
                 "Clique", candidate, 1 << (2 * candidate.k), 0

@@ -5,6 +5,7 @@ that passes the same seed gets the same channels and groups.
 """
 
 import functools
+import itertools
 from collections.abc import Iterable
 
 from qramsey import channel, f2, ramsey, selftest, stabilizer
@@ -27,6 +28,30 @@ def clear_classify_memos() -> None:
 
 def make_channel(*ops, n=None):
     return channel.from_noise([parse(s) for s in ops], n=n)
+
+
+@functools.cache
+def low_weight_vectors(n):
+    """Check vectors of every weight-1 and weight-2 Pauli on n qubits.
+
+    Weight 1 first, then weight 2; qubits in combinations order, and on
+    each qubit X, Z, Y.
+    """
+    out = []
+    for w in (1, 2):
+        for qubits in itertools.combinations(range(n), w):
+            for letters in itertools.product(((1, 0), (0, 1), (1, 1)), repeat=w):
+                v = 0
+                for q, (x, z) in zip(qubits, letters):
+                    v |= (x << q) | (z << (q + n))
+                out.append(v)
+    return tuple(out)
+
+
+def low_weight_channel(rng, n):
+    """The identity plus 2n distinct weight-1 and weight-2 Paulis."""
+    noise = [0, *rng.sample(low_weight_vectors(n), 2 * n)]
+    return channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
 
 
 def random_channel(rng, n, max_ops=5):
@@ -92,6 +117,34 @@ def column_tracking_partners(rows, n):
             if (partners[j] & sw_i).bit_count() & 1:
                 partners[j] ^= rows[i]
     return tuple(partners)
+
+
+def twisted_dot_clique_candidate(h, g, n):
+    """The clique candidate built from all of g, as first written.
+
+    Completes h to a Lagrangian and adds h to each later row whose twisted
+    dot with g is 1.  The reference for
+    ``ramsey._noncommuting_clique_candidate``, which is passed g's z half
+    only; it must build the same group from (h, g >> n, n).
+    """
+    rows = tuple(
+        v ^ h if f2.twisted_dot(v, g, n) else v
+        for v in f2.complete_lagrangian((h,), n)[1:]
+    )
+    return ramsey._group_from_rows(rows, n)
+
+
+def anticommuting_partner(rng, h, n):
+    """A random g whose twisted dot with the nonzero h is 1.
+
+    A uniform draw, with swap_halves of h's lowest bit added when it
+    commutes with h: that vector anticommutes with h, so g is uniform
+    over the vectors anticommuting with h.
+    """
+    g = rng.randrange(1 << (2 * n))
+    if not f2.twisted_dot(h, g, n):
+        g ^= f2.swap_halves(h & -h, n)
+    return g
 
 
 def extend_basis(partial: f2.F2Basis, candidates: Iterable[int]) -> f2.F2Basis:

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qramsey import channel, f2, ramsey, selftest, stabilizer
-from qramsey.pauli import PauliOperator, hermitian_rep
+from qramsey.pauli import PauliOperator
 
 from helpers import (
     clear_classify_memos,
     column_tracking_partners,
     extend_basis,
+    low_weight_channel,
     random_isotropic_rows,
 )
 
@@ -690,19 +691,6 @@ def _one_row_starts(rng: random.Random, n: int) -> list[int]:
     ]
 
 
-def _low_weight_vectors(n: int) -> list[int]:
-    """Check vectors of every weight-1 and weight-2 Pauli on n qubits."""
-    out = []
-    for w in (1, 2):
-        for qubits in itertools.combinations(range(n), w):
-            for letters in itertools.product(((1, 0), (0, 1), (1, 1)), repeat=w):
-                v = 0
-                for q, (x, z) in zip(qubits, letters):
-                    v |= (x << q) | (z << (q + n))
-                out.append(v)
-    return out
-
-
 def _random_vectors(rng: random.Random, n: int) -> list[int]:
     # zero, repeats and dependent sums come up often at this size
     return [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(0, 2 * n + 3))]
@@ -773,10 +761,8 @@ class TestPinnedToPerStepCode:
         rng = random.Random(67)
         channels = []
         for n in range(6, 17):
-            pool = _low_weight_vectors(n)
             for _ in range(2):
-                noise = [0, *rng.sample(pool, 2 * n)]
-                channels.append(channel.from_noise([hermitian_rep(v, n) for v in noise], n=n))
+                channels.append(low_weight_channel(rng, n))
         new = [ramsey.classify(ch).to_json_dict() for ch in channels]
         # each channel completes one Lagrangian: in the commuting branch, or
         # in the clique candidate, which a warm memo would not rebuild
@@ -809,10 +795,8 @@ class TestPinnedToPerStepCode:
         monkeypatch.setattr(f2, "_kernel_rows", counted)
         rng = random.Random(73)
         for n in (16, 64):
-            pool = _low_weight_vectors(n)
             for _ in range(2):
-                noise = [0, *rng.sample(pool, 2 * n)]
-                ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+                ch = low_weight_channel(rng, n)
                 clear_classify_memos()
                 widths.clear()
                 assert ramsey.classify(ch).tag == "Clique"

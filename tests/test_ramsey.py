@@ -18,13 +18,16 @@ from qramsey.pauli import CapacityError, hermitian_rep, identity, parse
 
 from helpers import (
     CLASSIFY_MEMOS,
+    anticommuting_partner,
     clear_classify_memos,
     definitional_compressed_dimension,
     extend_basis,
+    low_weight_channel,
     make_channel,
     random_channel,
     random_group,
     random_isotropic_rows,
+    twisted_dot_clique_candidate,
 )
 
 
@@ -574,7 +577,8 @@ class TestClassify:
         pair = first_anticommuting_pair(checks, n)
         assert pair is not None
         ch = channel.from_noise([hermitian_rep(v, n) for v in vectors], n=n)
-        unshifted = ramsey._noncommuting_clique_candidate(*pair, n)
+        h, g = pair
+        unshifted = ramsey._noncommuting_clique_candidate(h, g >> n, n)
         assert not ramsey.is_clique(ch, unshifted)
         result = ramsey.classify(ch)
         assert result.tag == "Clique"
@@ -707,8 +711,8 @@ class TestClassify:
             result = ramsey.classify(ch)
             if result.tag != "Clique":
                 continue
-            pair = first_anticommuting_pair(shifted_checks(ch), n)
-            assert result.witness == ramsey._noncommuting_clique_candidate(*pair, n)
+            h, g = first_anticommuting_pair(shifted_checks(ch), n)
+            assert result.witness == ramsey._noncommuting_clique_candidate(h, g >> n, n)
             cliques += 1
         assert cliques > 100
 
@@ -1092,10 +1096,51 @@ class TestConstructionInternals:
     def test_noncommuting_candidate_shape(self):
         ch = make_channel("II", "XI", "ZI")
         checks = sorted({op.check_vector() for op in ch.operators})
-        cand = ramsey._noncommuting_clique_candidate(
-            *first_anticommuting_pair(checks, 2), 2
-        )
+        h, partner = first_anticommuting_pair(checks, 2)
+        cand = ramsey._noncommuting_clique_candidate(h, partner >> 2, 2)
         assert cand.num_generators == 1
         # candidate generators commute with the first anticommuting check
         for g in cand.generators:
             assert f2.twisted_dot(g.check_vector(), checks[1], 2) == 0
+
+    def test_clique_candidate_reads_only_the_z_half_of_g(self):
+        # the builder, passed g >> n, against the reference that repairs by
+        # the twisted dot with all of g: every anticommuting (h, g) at
+        # n <= 3, then seeded pairs at n = 16 and 64, half of them with an
+        # x-only h (the other case of the completion lemma)
+        build = ramsey._noncommuting_clique_candidate.__wrapped__
+        pairs = [
+            (h, g, n)
+            for n in range(1, 4)
+            for h in range(1, 1 << (2 * n))
+            for g in range(1 << (2 * n))
+            if f2.twisted_dot(h, g, n)
+        ]
+        rng = random.Random(79)
+        for n in (16, 64):
+            for c in range(100):
+                h = rng.randrange(1, 1 << (n if c % 2 else 2 * n))
+                pairs.append((h, anticommuting_partner(rng, h, n), n))
+        assert len(pairs) == 2142 + 200
+        for h, g, n in pairs:
+            assert build(h, g >> n, n) == twisted_dot_clique_candidate(h, g, n), (h, g, n)
+
+    def test_clique_memo_misses_once_per_h_and_z_half_of_g(self):
+        # a classify_large_n-shaped stream: identity plus 2n weight-1/2
+        # Paulis at n = 6, 8, 10.  The clique memo misses exactly once per
+        # distinct (h, g >> n, n) and evicts nothing, which is fewer misses
+        # than the distinct pairs (h, g) it is handed
+        rng = random.Random(83)
+        channels = [low_weight_channel(rng, n) for _ in range(30) for n in (6, 8, 10)]
+        clear_classify_memos()
+        pairs = set()
+        for ch in channels:
+            n = ch.n
+            ramsey.classify(ch)
+            pair = first_anticommuting_pair(shifted_checks(ch), n)
+            if pair is not None:
+                pairs.add((*pair, n))
+        keys = {(h, g >> n, n) for h, g, n in pairs}
+        info = ramsey._noncommuting_clique_candidate.cache_info()
+        assert info.misses == info.currsize == len(keys)
+        assert len(keys) < len(pairs)
