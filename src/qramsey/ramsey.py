@@ -24,8 +24,10 @@ The constructions read nothing of the channel beyond a check h and the
 z half of its partner g, or a Lagrangian and one vector, so the two
 candidate builders keep their last 256 results in a `functools.lru_cache`
 keyed by those, and so does the verifying count's per-group table.  The
-count itself does not: it runs on every call, on a kept candidate as on
-a new one.
+clique key is first mapped to one representative per candidate (see
+`_clique_key`), so pairs that build the same group share one entry.  The
+count itself is not kept: it runs on every call, on a kept candidate as
+on a new one.
 """
 
 from __future__ import annotations
@@ -463,15 +465,47 @@ def _noncommuting_clique_candidate(h: int, gz: int, n: int) -> StabilizerGroup:
     completion adds is x-only, v < 2^n, so v & swap_halves(g), whose
     parity is the twisted dot of v and g, is v & (g >> n); g's x half
     lands in bits n and up, where v has none.  So the repaired rows, the
-    candidate and its generators' signs are a function of (h, gz, n), and
-    the memo keys by that: pairs that differ only in g's x half share one
-    entry.
+    candidate and its generators' signs are a function of (h, gz, n).
+
+    Many such keys still build one candidate.  Write h = a | b << n;
+    twisted_dot(h, g) = 1 reads parity(a & gz) ^ parity(b & (g & low)),
+    with low = 2^n - 1.
+    - If b = 0 (h is x-only), parity(a & gz) = 1, and the completion adds
+      e_j for every j but top(a).  Each repaired row e_j ^ gz_j a has
+      parity gz_j ^ gz_j = 0 against gz.  The n - 1 rows are independent:
+      a sum over a nonempty set J of them is e_J plus a multiple of a, and
+      e_J is neither 0 nor a, as a holds top(a) and J does not.  So they
+      span all of Y = {y < 2^n : parity(y & gz) = 0}, which has dimension
+      n - 1 as gz != 0.  Every row is X-type, so every product of rows is
+      plus-signed, and the canonical group depends on Y alone, that is on
+      (gz, n).  Any x-only h' with parity(h' & gz) = 1 builds it;
+      ``_clique_key`` takes h' = gz & -gz.
+    - If b != 0, with t = low(b), every added vector v = e_j ^ b_j e_t
+      (j != t) has parity(v & b) = b_j ^ b_j b_t = 0.  So gz and gz ^ b
+      repair the same rows, and ``_clique_key`` clears bit t of gz by
+      adding b when it is set.
+    The memo is keyed by that representative.
     """
     rows = tuple(
         v ^ h if (v & gz).bit_count() & 1 else v
         for v in f2.complete_lagrangian((h,), n)[1:]
     )
     return _group_from_rows(rows, n)
+
+
+def _clique_key(h: int, gz: int, n: int) -> tuple[int, int, int]:
+    """The memo key of the clique candidate of (h, gz): one per candidate.
+
+    (gz & -gz, gz, n) when h is x-only, else (h, gz with bit low(h >> n)
+    cleared by adding h >> n, n); both build the candidate of (h, gz, n),
+    as proved in ``_noncommuting_clique_candidate``.
+    """
+    b = h >> n
+    if not b:
+        return gz & -gz, gz, n
+    if gz & b & -b:
+        gz ^= b
+    return h, gz, n
 
 
 # -- exhaustive search and the trichotomy ------------------------------------
@@ -557,8 +591,9 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     branch never reads it.  A constructed candidate is verified; one that
     fails is answered with Inconsistent and a diagnostic, since it would
     contradict the theorem.  Each candidate builder keeps its last 256
-    candidates (a bounded ``lru_cache``, keyed by (h, g >> n, n) or
-    (L, w, n): the clique construction reads only g's z half),
+    candidates (a bounded ``lru_cache``, keyed by (L, w, n) or by
+    ``_clique_key(h, g >> n, n)``: the clique construction reads only g's
+    z half, and keys that build the same candidate are mapped to one),
     and the verifying count keeps its last 256 groups' tables; the count
     itself runs on every call, so a kept candidate is verified against
     each channel it is returned for.  Every step is polynomial in
@@ -603,7 +638,7 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
         kind = "anticlique"
     else:
         h, g = pair
-        candidate = _noncommuting_clique_candidate(h, g >> n, n)
+        candidate = _noncommuting_clique_candidate(*_clique_key(h, g >> n, n))
         if is_clique(ch, candidate):
             return ClassificationResult(
                 "Clique", candidate, 1 << (2 * candidate.k), 0

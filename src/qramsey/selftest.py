@@ -209,7 +209,11 @@ def check_oracle_equivalence(
 
 
 def check_main_theorem(seed: int = 0, n3_cases: int = 10, n: int = 2) -> CheckResult:
-    """Maximal stabilizer channels admit no nontrivial witness, any k."""
+    """Maximal stabilizer channels admit no nontrivial witness, any k.
+
+    Beyond the empty witness list, every code's count on the search walk
+    must be the closed form 2^k that README proves for maximal channels.
+    """
     failures: list[str] = []
     examined = 0
     groups = [
@@ -229,6 +233,15 @@ def check_main_theorem(seed: int = 0, n3_cases: int = 10, n: int = 2) -> CheckRe
                 f"{group} channel has witness "
                 f"{report.witnesses[0].to_json_dict()}"
             )
+        diffs = np.fromiter(channel.difference_set(ch), dtype=np.intp)
+        for d, counts in enumerate(ramsey._coset_counts(diffs, ch.n, ch.n - 1)):
+            k = ch.n - d
+            wrong = np.flatnonzero(counts != 1 << k)
+            if wrong.size:
+                failures.append(
+                    f"{group} channel hits {counts[wrong[0]]} cosets, not 2^{k}, "
+                    f"of the k={k} code at position {wrong[0]} of the walk"
+                )
     sampled = f" plus {n3_cases} random maximal stabilizers at n=3" if n3_cases else ""
     return _result(
         "maximal stabilizer channels have no witnesses",

@@ -125,7 +125,9 @@ def twisted_dot_clique_candidate(h, g, n):
     Completes h to a Lagrangian and adds h to each later row whose twisted
     dot with g is 1.  The reference for
     ``ramsey._noncommuting_clique_candidate``, which is passed g's z half
-    only; it must build the same group from (h, g >> n, n).
+    only and, from classify, the key ``ramsey._clique_key(h, g >> n, n)``
+    that stands for every pair building the same candidate; it must build
+    the same group from (h, g >> n, n) and from that key.
     """
     rows = tuple(
         v ^ h if f2.twisted_dot(v, g, n) else v

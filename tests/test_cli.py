@@ -3,6 +3,7 @@
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qramsey import channel, cli, ramsey, selftest
@@ -382,6 +383,22 @@ class TestSelftest:
         assert all("n=3" not in r.detail for r in results.values())
         assert results[3].detail.endswith(" exhaustive n=2 cases, exact")
         assert results[4].detail.startswith("all 15 Lagrangians at n=2; ")
+
+    def test_criterion_4_requires_the_closed_form(self, monkeypatch):
+        # a walk count of 2^k + 1 on a maximal n=2 channel is neither 1 nor
+        # 4^k, so no witness appears; the closed form alone catches it
+        walk = ramsey._coset_counts
+
+        def off_by_one(diffs, n, depth):
+            counts = walk(diffs, n, depth)
+            counts[-1] = counts[-1] + (np.arange(len(counts[-1])) == 3)
+            return counts
+
+        assert selftest.check_main_theorem(n3_cases=0).passed
+        monkeypatch.setattr(ramsey, "_coset_counts", off_by_one)
+        result = selftest.check_main_theorem(n3_cases=0)
+        assert not result.passed
+        assert "hits 3 cosets, not 2^1, of the k=1 code at position 3 of the walk" in result.detail
 
     def test_default_run_details_are_unchanged(self):
         # the quick default run names n=2 where it always did, and nothing

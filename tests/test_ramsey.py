@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qramsey import channel, f2, oracle, ramsey, stabilizer
-from qramsey.pauli import CapacityError, hermitian_rep, identity, parse
+from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, identity, parse
 
 from helpers import (
     CLASSIFY_MEMOS,
@@ -700,6 +700,39 @@ class TestClassify:
         assert result.witness.k >= 1
         assert ramsey.gottesman_correctable(ch, result.witness)
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_json_ignores_operator_order_phase_and_repeats(self, n):
+        # classify reads the sorted, shifted checks only, so its JSON must
+        # not move when the operators are permuted, given other phases or
+        # some of them repeated: random noise, low-weight noise, commuting
+        # subsets of a Lagrangian's coset and a maximal channel
+        rng = random.Random(700 + n)
+        lag = f2.reduce(random_isotropic_rows(rng, n, n), n).span()
+        c = rng.randrange(1 << (2 * n))
+        channels = [random_channel(rng, n, 9) for _ in range(4)]
+        channels += [low_weight_channel(rng, n) for _ in range(4)]
+        channels += [
+            channel.from_noise(
+                [hermitian_rep(c ^ v, n) for v in rng.sample(lag, rng.randrange(1, n + 2))],
+                n=n,
+            )
+            for _ in range(2)
+        ]
+        channels.append(channel.from_noise([hermitian_rep(c ^ v, n) for v in lag], n=n))
+        verdicts = set()
+        for ch in channels:
+            doc = ramsey.classify(ch).to_json_dict()
+            verdicts.add(doc["verdict"])
+            ops = list(ch.operators)
+            for _ in range(3):
+                moved = [
+                    PauliOperator(n, rng.randrange(4), op.x, op.z) for op in ops
+                ]
+                moved += rng.choices(moved, k=rng.randrange(1, 4))
+                rng.shuffle(moved)
+                assert ramsey.classify(channel.from_noise(moved, n=n)).to_json_dict() == doc
+        assert {"MaximalStabilizerChannel", "Anticlique", "Clique"} <= verdicts
+
     def test_clique_witness_comes_from_the_first_anticommuting_pair(self):
         # the pair is the first in combinations order over the shifted
         # checks; another anticommuting pair can give another witness
@@ -964,6 +997,48 @@ class TestConstructionInternals:
             wide = level.rows.astype(np.uint64)
             assert np.array_equal(ramsey._packed(level.rows, n), ramsey._packed(wide, n))
 
+    def test_subcodes_inherit_counts_and_witness_kinds(self, monkeypatch):
+        # R ⊂ R' isotropic: each coset of R' in R'^⊥ is the union of two
+        # cosets of R, so count(R') <= count(R), an anticlique's subcode is
+        # an anticlique and a clique's a clique.  Checked on every
+        # canonical parent-child pair of the walk's levels (k >= 1), the
+        # parent read off the child's rows, on seeded channels at n = 2..4
+        monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
+        rng = random.Random(97)
+        cases = [
+            (n, ch)
+            for n in (2, 3, 4)
+            for ch in (
+                *(random_channel(rng, n, m) for m in (3, 6, 12, 24)),
+                low_weight_channel(rng, n),
+            )
+        ]
+        parents = {}
+        for n in (2, 3, 4):
+            for d in range(1, n):
+                up = ramsey._candidates(n, d - 1).rows.tolist()
+                index = {tuple(rows): i for i, rows in enumerate(up)}
+                parents[n, d] = np.array(
+                    [index[tuple(rows[:-1])] for rows in ramsey._candidates(n, d).rows.tolist()]
+                )
+        pairs = anticlique = clique = fell = 0
+        for n, ch in cases:
+            diffs = np.fromiter(channel.difference_set(ch), dtype=np.intp)
+            counts = ramsey._coset_counts(diffs, n, n - 1)
+            for d in range(1, n):
+                up = counts[d - 1][parents[n, d]]
+                child = counts[d]
+                assert (child <= up).all(), (n, d)
+                assert (child[up == 1] == 1).all(), (n, d)
+                full = 1 << (2 * (n - d))
+                assert (child[up == 4 * full] == full).all(), (n, d)
+                pairs += len(child)
+                anticlique += int((up == 1).sum())
+                clique += int((up == 4 * full).sum())
+                fell += int((child < up).sum())
+        assert pairs == 5 * (15 + 378 + 17085)
+        assert min(anticlique, clique, fell) > 1000
+
     def test_only_the_deepest_built_level_keeps_its_reps(self, monkeypatch):
         # a level's representatives are read only to build its child level,
         # which drops them; searches on the remaining arrays, and on levels
@@ -1125,22 +1200,59 @@ class TestConstructionInternals:
         for h, g, n in pairs:
             assert build(h, g >> n, n) == twisted_dot_clique_candidate(h, g, n), (h, g, n)
 
-    def test_clique_memo_misses_once_per_h_and_z_half_of_g(self):
+    def test_normalized_clique_key_builds_the_same_candidate(self):
+        # the builder, passed _clique_key of (h, g >> n), against the
+        # reference that repairs by the twisted dot with all of the raw g:
+        # every anticommuting (h, g) at n <= 3, then seeded pairs at n = 16
+        # and 64 with a general h, and x-only h = a, several a per z half
+        # gz, each against a g of that z half and a random x half
+        build = ramsey._noncommuting_clique_candidate.__wrapped__
+        pairs = [
+            (h, g, n)
+            for n in range(1, 4)
+            for h in range(1, 1 << (2 * n))
+            for g in range(1 << (2 * n))
+            if f2.twisted_dot(h, g, n)
+        ]
+        rng = random.Random(89)
+        for n in (16, 64):
+            for _ in range(50):
+                h = rng.randrange(1 << n, 1 << (2 * n))
+                pairs.append((h, anticommuting_partner(rng, h, n), n))
+            for _ in range(10):
+                gz = rng.randrange(1, 1 << n)
+                for _ in range(5):
+                    a = rng.randrange(1, 1 << n)
+                    if not (a & gz).bit_count() & 1:
+                        a ^= gz & -gz
+                    pairs.append((a, gz << n | rng.randrange(1 << n), n))
+        assert len(pairs) == 2142 + 2 * (50 + 50)
+        keys = set()
+        for h, g, n in pairs:
+            key = ramsey._clique_key(h, g >> n, n)
+            assert build(*key) == twisted_dot_clique_candidate(h, g, n), (h, g, n)
+            keys.add(key)
+        # an x-only h keys by (gz & -gz, gz, n), so the 5 a drawn per gz
+        # share one key
+        assert sum(1 for h, _, n in keys if not h >> n and n > 3) == 2 * 10
+
+    def test_clique_memo_misses_once_per_normalized_key(self):
         # a classify_large_n-shaped stream: identity plus 2n weight-1/2
         # Paulis at n = 6, 8, 10.  The clique memo misses exactly once per
-        # distinct (h, g >> n, n) and evicts nothing, which is fewer misses
-        # than the distinct pairs (h, g) it is handed
+        # distinct _clique_key(h, g >> n, n) and evicts nothing, which is
+        # fewer misses than the distinct (h, g >> n, n) it is handed
         rng = random.Random(83)
         channels = [low_weight_channel(rng, n) for _ in range(30) for n in (6, 8, 10)]
         clear_classify_memos()
-        pairs = set()
+        raw = set()
         for ch in channels:
             n = ch.n
             ramsey.classify(ch)
             pair = first_anticommuting_pair(shifted_checks(ch), n)
             if pair is not None:
-                pairs.add((*pair, n))
-        keys = {(h, g >> n, n) for h, g, n in pairs}
+                h, g = pair
+                raw.add((h, g >> n, n))
+        keys = {ramsey._clique_key(*key) for key in raw}
         info = ramsey._noncommuting_clique_candidate.cache_info()
         assert info.misses == info.currsize == len(keys)
-        assert len(keys) < len(pairs)
+        assert len(keys) < len(raw)
