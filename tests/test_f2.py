@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from operator import xor
 
@@ -13,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from qramsey import channel, f2, ramsey, selftest, stabilizer
 from qramsey.pauli import PauliOperator
 
+import reference
 from helpers import (
     clear_classify_memos,
-    column_tracking_partners,
-    extend_basis,
     low_weight_channel,
+    one_row_starts,
     random_isotropic_rows,
 )
 
@@ -32,55 +31,6 @@ def vec(xs: str, zs: str) -> int:
     for j, c in enumerate(zs):
         v |= int(c) << (n + j)
     return v
-
-
-def brute_subspaces(n: int, d: int) -> set[tuple[int, ...]]:
-    """Independent oracle: every d-dim subspace of F_2^{2n} by brute force."""
-    universe = range(1, 1 << (2 * n))
-    found = set()
-    for combo in itertools.combinations(universe, d):
-        basis = f2.reduce(combo, n)
-        if basis.dim == d:
-            found.add(basis.rows)
-    if d == 0:
-        found = {()}
-    return found
-
-
-def is_isotropic(rows: tuple[int, ...], n: int) -> bool:
-    return all(
-        f2.twisted_dot(u, v, n) == 0 for u in rows for v in rows
-    )
-
-
-def isotropic_count(n: int, d: int) -> int:
-    """Closed form: prod_{i<d} (4^(n-i) - 1) / (2^(i+1) - 1)."""
-    num = den = 1
-    for i in range(d):
-        num *= 4 ** (n - i) - 1
-        den *= 2 ** (i + 1) - 1
-    return num // den
-
-
-def reference_isotropic(n: int, d: int) -> list[tuple[int, ...]]:
-    """Independent reference for enumerate_isotropic's output and order.
-
-    Extends every (d-1)-space by every nonzero vector of its twisted
-    kernel that is clear at the parent's pivots, re-reduces the child,
-    removes duplicates in a set and sorts the row tuples.
-    """
-    current: set[tuple[int, ...]] = {()}
-    for _ in range(d):
-        nxt: set[tuple[int, ...]] = set()
-        for rows in current:
-            pivot_mask = 0
-            for r in rows:
-                pivot_mask |= r & -r
-            for v in f2.twisted_kernel(rows, n).span():
-                if v and not (v & pivot_mask):
-                    nxt.add(f2.reduce((*rows, v), n).rows)
-        current = nxt
-    return sorted(current)
 
 
 class TestTwistedDot:
@@ -225,30 +175,30 @@ class TestExtendBasis:
 
     def test_partial_preserved_and_completed(self):
         partial = f2.F2Basis(2, (vec("10", "00"),))
-        result = extend_basis(partial, range(16))
+        result = reference.extend_basis(partial, range(16))
         assert result.rows[0] == vec("10", "00")
         assert result.dim == 4
         assert f2.reduce(result.rows, 2).dim == 4
 
     def test_empty_partial(self):
-        out = extend_basis(f2.F2Basis(1, ()), [vec("1", "1")])
+        out = reference.extend_basis(f2.F2Basis(1, ()), [vec("1", "1")])
         assert out.rows == (vec("1", "1"),)
 
     def test_full_partial_unchanged(self):
         partial = f2.reduce([1, 2, 4, 8], 2)
-        assert extend_basis(partial, range(16)).rows == partial.rows
+        assert reference.extend_basis(partial, range(16)).rows == partial.rows
 
     def test_insufficient_candidates_rejected(self):
         partial = f2.F2Basis(2, (vec("10", "00"),))
         with pytest.raises(ValueError, match="do not suffice"):
-            extend_basis(partial, [vec("01", "00")])
+            reference.extend_basis(partial, [vec("01", "00")])
 
     def test_greedy_is_smallest_admissible(self):
         rng = random.Random(19)
         for _ in range(100):
             n = rng.randrange(1, 4)
             cand = [rng.randrange(1 << (2 * n)) for _ in range(6)]
-            out = extend_basis(f2.F2Basis(n, ()), cand)
+            out = reference.extend_basis(f2.F2Basis(n, ()), cand)
             # each chosen row is the smallest candidate outside the span so far
             chosen = list(out.rows)
             for i, row in enumerate(chosen):
@@ -288,7 +238,9 @@ class TestEnumerateIsotropic:
     def test_counts_against_brute_force_n2(self):
         for d in range(3):
             ours = {b.rows for b in f2.enumerate_isotropic(2, d)}
-            oracle = {rows for rows in brute_subspaces(2, d) if is_isotropic(rows, 2)}
+            oracle = {
+                rows for rows in reference.brute_subspaces(2, d) if reference.is_isotropic(rows, 2)
+            }
             assert ours == oracle
 
     def test_frozen_counts(self):
@@ -307,20 +259,20 @@ class TestEnumerateIsotropic:
         cases += [(5, d) for d in range(3)]
         for n, d in cases:
             count = sum(1 for _ in f2.enumerate_isotropic(n, d))
-            assert count == isotropic_count(n, d), (n, d)
+            assert count == reference.isotropic_count(n, d), (n, d)
 
     def test_sequence_matches_reference(self):
         # search reports witnesses in this order, so the order is pinned
         for n in range(1, 4):
             for d in range(n + 1):
                 ours = [b.rows for b in f2.enumerate_isotropic(n, d)]
-                assert ours == reference_isotropic(n, d), (n, d)
+                assert ours == reference.enumerate_isotropic(n, d), (n, d)
 
     def test_chunk_boundaries(self, monkeypatch):
         # small chunks put chunk boundaries inside every parent group and
         # inside the output pass, down to one parent per chunk
         expected = {
-            (n, d): reference_isotropic(n, d)
+            (n, d): reference.enumerate_isotropic(n, d)
             for n in range(1, 4)
             for d in range(n + 1)
         }
@@ -336,7 +288,7 @@ class TestEnumerateIsotropic:
             for d in range(n + 1):
                 for b in f2.enumerate_isotropic(n, d):
                     assert b.dim == d
-                    assert is_isotropic(b.rows, n)
+                    assert reference.is_isotropic(b.rows, n)
                     assert f2.reduce(b.rows, n).rows == b.rows
 
     def test_deterministic_order(self):
@@ -356,7 +308,7 @@ class TestLagrangianCompletion:
         rows = f2.complete_lagrangian([vec("00", "11")], 2)
         assert rows[0] == vec("00", "11")
         assert len(rows) == 2
-        assert is_isotropic(rows, 2)
+        assert reference.is_isotropic(rows, 2)
         assert f2.reduce(rows, 2).dim == 2
 
     def test_from_scratch_picks_x_first(self):
@@ -367,11 +319,11 @@ class TestLagrangianCompletion:
         for _ in range(100):
             n = rng.randrange(1, 5)
             d = rng.randrange(0, n + 1)
-            start = _random_isotropic_rows(rng, n, d)
+            start = selftest._random_isotropic_rows(rng, n, d)
             rows = f2.complete_lagrangian(start, n)
             assert rows[: len(start)] == tuple(start)
             assert len(rows) == n
-            assert is_isotropic(rows, n)
+            assert reference.is_isotropic(rows, n)
             assert f2.reduce(rows, n).dim == n
 
     def test_anticommuting_input_rejected(self):
@@ -384,7 +336,7 @@ class TestLagrangianCompletion:
         # seeded starts of every size, and every one-row start at n <= 3
         rng = random.Random(41)
         starts = [
-            (n, _random_isotropic_rows(rng, n, d))
+            (n, selftest._random_isotropic_rows(rng, n, d))
             for n in range(1, 6)
             for d in range(n + 1)
             for _ in range(4)
@@ -422,7 +374,7 @@ class TestEchelon:
         for n in range(1, 6):
             for d in range(n + 1):
                 for _ in range(4):
-                    rows = _random_isotropic_rows(rng, n, d)
+                    rows = selftest._random_isotropic_rows(rng, n, d)
                     expected = sorted(f2.F2Basis(n, tuple(rows)).span())
                     assert list(f2.ascending_span(rows)) == expected
 
@@ -443,7 +395,7 @@ class TestSymplecticPartners:
         rng = random.Random(37)
         for _ in range(100):
             n = rng.randrange(1, 5)
-            rows = _random_isotropic_rows(rng, n, n)
+            rows = selftest._random_isotropic_rows(rng, n, n)
             partners = f2.symplectic_partners(rows, n)
             for i, u in enumerate(partners):
                 for j, h in enumerate(rows):
@@ -464,7 +416,7 @@ class TestSymplecticPartners:
         for n in range(1, 4):
             for basis in f2.enumerate_isotropic(n, n):
                 for rows in (basis.rows, basis.rows[::-1]):
-                    assert f2.symplectic_partners(rows, n) == column_tracking_partners(
+                    assert f2.symplectic_partners(rows, n) == reference.symplectic_partners(
                         rows, n
                     ), (n, rows)
                     checked += 1
@@ -472,7 +424,7 @@ class TestSymplecticPartners:
         for n in range(4, 65):
             start = random_isotropic_rows(rng, n, rng.randrange(n + 1))
             rows = f2.complete_lagrangian(start, n)
-            assert f2.symplectic_partners(rows, n) == column_tracking_partners(rows, n), n
+            assert f2.symplectic_partners(rows, n) == reference.symplectic_partners(rows, n), n
             checked += 1
         assert checked == 2 * (3 + 15 + 135) + 61
 
@@ -607,96 +559,14 @@ class TestVectorRange:
             channel.PauliChannel(2, tuple((op, 0.5) for op in ops))
 
 
-# -- the row reduction, kernel and greedy completion as first written, one step
-# at a time; the pinning tests below hold the current f2 to these copies
-
-def _old_pivot(v: int) -> int:
-    return (v & -v).bit_length() - 1
-
-
-def _old_reduce(vectors, n: int) -> f2.F2Basis:
-    rows: list[int] = []
-    for v in vectors:
-        f2._check_vector(v, n)
-        for r in rows:
-            if (v >> _old_pivot(r)) & 1:
-                v ^= r
-        if v:
-            p = _old_pivot(v)
-            rows = [r ^ v if (r >> p) & 1 else r for r in rows]
-            rows.append(v)
-            rows.sort(key=_old_pivot)
-    return f2.F2Basis(n, tuple(rows))
-
-
-def _old_reduce_mod(v: int, basis: f2.F2Basis) -> int:
-    f2._check_vector(v, basis.n)
-    for r in basis.rows:
-        if (v >> _old_pivot(r)) & 1:
-            v ^= r
-    return v
-
-
-def _old_twisted_kernel(generators, n: int) -> f2.F2Basis:
-    constraints = _old_reduce((f2.swap_halves(g, n) for g in generators), n)
-    pivots = {_old_pivot(r) for r in constraints.rows}
-    basis = []
-    for f in range(2 * n):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for r in constraints.rows:
-            if (r >> f) & 1:
-                v |= 1 << _old_pivot(r)
-        basis.append(v)
-    return _old_reduce(basis, n)
-
-
-def _old_complete_lagrangian(rows, n: int) -> tuple[int, ...]:
-    # one kernel rebuild, echelon pass and span reduction per added vector
-    out = list(rows)
-    base = _old_reduce(out, n)
-    if base.dim != len(out):
-        raise ValueError("rows are dependent")
-    for i, u in enumerate(out):
-        for v in out[i:]:
-            if f2.twisted_dot(u, v, n):
-                raise ValueError("rows are not isotropic")
-    while len(out) < n:
-        kernel = _old_twisted_kernel(out, n)
-        v = next(r for r in f2.echelon(kernel.rows) if _old_reduce_mod(r, base))
-        out.append(v)
-        base = _old_reduce(out, n)
-    return tuple(out)
-
-
-def _one_row_starts(rng: random.Random, n: int) -> list[int]:
-    """Edge cases of a one-row start h for complete_lagrangian, n >= 2.
-
-    By its lemma the added vectors are e_j for every j but the top bit of
-    an x-only h, and otherwise e_j, plus e_t where h's z half holds bit j,
-    for every j but t, the z half's lowest bit.  The cases: x-only h with
-    its top bit at qubit 0 and at qubit n - 1, Z on qubit n - 1, z halves
-    with their lowest bit at qubit 0 and at qubit n - 1, then two random h.
-    """
-    low = (1 << n) - 1
-    return [
-        1,
-        1 << (n - 1) | rng.randrange(1 << (n - 1)),
-        1 << (2 * n - 1),
-        (rng.randrange(low + 1) | 1) << n | rng.randrange(low + 1),
-        1 << (2 * n - 1) | rng.randrange(1, low + 1),
-        rng.randrange(1, 1 << (2 * n)),
-        rng.randrange(1, 1 << (2 * n)),
-    ]
-
-
 def _random_vectors(rng: random.Random, n: int) -> list[int]:
     # zero, repeats and dependent sums come up often at this size
     return [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(0, 2 * n + 3))]
 
 
 class TestPinnedToPerStepCode:
+    """f2 against its first-written, one-step-at-a-time forms in ``reference``."""
+
     def test_complete_lagrangian_on_isotropic_starts(self):
         # seeded starts of every size, every one-row start at n <= 5, the
         # one-row edge cases up to n = 32, and every canonical isotropic
@@ -713,7 +583,7 @@ class TestPinnedToPerStepCode:
         starts += [
             (n, [h])
             for n in (*range(6, 13), 16, 20, 24, 28, 32)
-            for h in _one_row_starts(rng, n)
+            for h in one_row_starts(rng, n)
         ]
         starts += [
             (n, order(basis.rows))
@@ -724,7 +594,7 @@ class TestPinnedToPerStepCode:
         ]
         for n, start in starts:
             full = f2.complete_lagrangian(start, n)
-            assert full == _old_complete_lagrangian(start, n), (n, start)
+            assert full == reference.complete_lagrangian(start, n), (n, start)
             assert all(v < 1 << n for v in full[len(start) :]), (n, start)
 
     def test_complete_lagrangian_on_low_weight_starts(self):
@@ -741,7 +611,7 @@ class TestPinnedToPerStepCode:
                         f2.twisted_dot(v, r, n) == 0 for r in start
                     ):
                         start.append(v)
-                assert f2.complete_lagrangian(start, n) == _old_complete_lagrangian(
+                assert f2.complete_lagrangian(start, n) == reference.complete_lagrangian(
                     start, n
                 ), (n, start)
 
@@ -751,11 +621,11 @@ class TestPinnedToPerStepCode:
             n = rng.randrange(1, 13)
             vecs = _random_vectors(rng, n)
             basis = f2.reduce(vecs, n)
-            assert basis == _old_reduce(vecs, n)
+            assert basis == reference.reduce(vecs, n)
             gens = vecs[: rng.randrange(0, 2 * n + 1)]
-            assert f2.twisted_kernel(gens, n) == _old_twisted_kernel(gens, n)
+            assert f2.twisted_kernel(gens, n) == reference.twisted_kernel(gens, n)
             for v in [*vecs, rng.randrange(1 << (2 * n))]:
-                assert f2.reduce_mod(v, basis) == _old_reduce_mod(v, basis)
+                assert f2.reduce_mod(v, basis) == reference.reduce_mod(v, basis)
 
     def test_classify_json_matches_per_step_completion(self, monkeypatch):
         rng = random.Random(67)
@@ -770,7 +640,7 @@ class TestPinnedToPerStepCode:
 
         def per_step_completion(rows, n):
             completions.append(n)
-            return _old_complete_lagrangian(rows, n)
+            return reference.complete_lagrangian(rows, n)
 
         monkeypatch.setattr(f2, "complete_lagrangian", per_step_completion)
         old = []
@@ -801,13 +671,3 @@ class TestPinnedToPerStepCode:
                 widths.clear()
                 assert ramsey.classify(ch).tag == "Clique"
                 assert widths == [n, 2 * n], n
-
-
-def _random_isotropic_rows(rng: random.Random, n: int, d: int) -> list[int]:
-    rows: list[int] = []
-    while len(rows) < d:
-        kernel = f2.twisted_kernel(rows, n)
-        base = f2.reduce(rows, n)
-        options = [v for v in kernel.span() if v and not f2.in_span(v, base)]
-        rows.append(rng.choice(options))
-    return rows

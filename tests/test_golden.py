@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qramsey import channel, ramsey
-from qramsey.pauli import hermitian_rep
+from qramsey import ramsey, selftest
 
 from helpers import low_weight_channel
 
@@ -28,10 +27,7 @@ def _n2_slice():
     # 8,192 of the 65,535 n=2 channels, one per nonempty subset mask of
     # the 16 Paulis, in a seeded order
     masks = random.Random(2).sample(range(1, 1 << 16), 8192)
-    return [
-        channel.from_noise([hermitian_rep(v, 2) for v in range(16) if mask >> v & 1], n=2)
-        for mask in masks
-    ]
+    return [selftest._mask_channel(mask, 2) for mask in masks]
 
 
 def _low_weight():

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from qramsey import channel, cli, oracle, ramsey, stabilizer
-from qramsey.pauli import CapacityError, hermitian_rep, identity
+from qramsey.pauli import CapacityError, identity
 
-from helpers import make_channel, random_channel, random_group
+from helpers import make_channel, random_channel, random_group, vector_channel
 
 
 MAXIMAL_X = channel.maximal_stabilizer_channel(stabilizer.from_string("XI,IX"))
@@ -33,7 +33,7 @@ class TestDenseCompressedDimension:
         assert result.rank == 2
 
     def test_full_pauli_channel(self):
-        full = channel.from_noise([hermitian_rep(v, 2) for v in range(16)])
+        full = vector_channel(range(16), 2)
         assert (
             oracle.dense_compressed_dimension(full, stabilizer.from_string("ZI")).rank
             == 4
@@ -420,9 +420,7 @@ class TestBatchedAgainstLoops:
 
 def distinct_channel(rng, n, m):
     """A channel of m distinct noise operators on n qubits."""
-    return channel.from_noise(
-        [hermitian_rep(v, n) for v in rng.sample(range(1 << (2 * n)), m)], n=n
-    )
+    return vector_channel(rng.sample(range(1 << (2 * n)), m), n)
 
 
 class TestGramSides:

@@ -16,16 +16,12 @@ from hypothesis import given, settings, strategies as st
 from qramsey import pauli
 from qramsey.pauli import PauliOperator, hermitian_rep, identity, parse
 
+from helpers import random_pauli
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-
-
-def random_pauli(rng: random.Random, n: int) -> PauliOperator:
-    return PauliOperator(
-        n, rng.randrange(4), rng.randrange(1 << n), rng.randrange(1 << n)
-    )
 
 
 class TestDenseMultiplicativity:

@@ -16,26 +16,19 @@ import pytest
 from qramsey import channel, f2, oracle, ramsey, stabilizer
 from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, identity, parse
 
+import reference
 from helpers import (
     CLASSIFY_MEMOS,
     anticommuting_partner,
     clear_classify_memos,
-    definitional_compressed_dimension,
-    extend_basis,
     low_weight_channel,
     make_channel,
     random_channel,
     random_group,
     random_isotropic_rows,
-    twisted_dot_clique_candidate,
+    vector_channel,
+    x_only_pairs,
 )
-
-
-def first_anticommuting_pair(checks, n):
-    """The pair classify hands its clique builder, or None if all commute."""
-    return next(
-        ((a, b) for a, b in combinations(checks, 2) if f2.twisted_dot(a, b, n)), None
-    )
 
 
 def is_maximal_by_definition(diffs, n):
@@ -48,22 +41,16 @@ def is_maximal_by_definition(diffs, n):
     )
 
 
-def shifted_checks(ch):
-    """classify's check vectors, shifted by the smallest so that 0 is one."""
-    checks = sorted({op.check_vector() for op in ch.operators})
-    return sorted(v ^ checks[0] for v in checks)
-
-
 def lagrangian_and_w(ch):
     """The Lagrangian L and the w of L outside W that classify builds."""
     n = ch.n
     diffs = channel.difference_set(ch)
-    lag = f2.complete_lagrangian(f2.reduce(shifted_checks(ch), n).rows, n)
+    lag = f2.complete_lagrangian(f2.reduce(reference.shifted_checks(ch), n).rows, n)
     return lag, next(v for v in f2.ascending_span(lag) if v not in diffs)
 
 
 MAXIMAL_X = channel.maximal_stabilizer_channel(stabilizer.from_string("XI,IX"))
-FULL_P2 = channel.from_noise([hermitian_rep(v, 2) for v in range(16)])
+FULL_P2 = vector_channel(range(16), 2)
 
 
 class TestCompressedDimension:
@@ -125,17 +112,17 @@ class TestCompressedDimension:
 
     def test_matches_definition_on_every_n1_pair(self):
         codes = [
-            stabilizer.validate([hermitian_rep(v, 1) for v in basis.rows], n=1)
+            ramsey._group_from_rows(basis.rows, 1)
             for d in (0, 1)
             for basis in f2.enumerate_isotropic(1, d)
         ]
         for size in range(1, 5):
             for vectors in combinations(range(4), size):
-                ch = channel.from_noise([hermitian_rep(v, 1) for v in vectors])
+                ch = vector_channel(vectors, 1)
                 for code in codes:
                     assert ramsey.compressed_dimension(
                         ch, code
-                    ) == definitional_compressed_dimension(ch, code), (vectors, str(code))
+                    ) == reference.compressed_dimension(ch, code), (vectors, str(code))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_definition_on_seeded_pairs(self, n):
@@ -155,8 +142,7 @@ class TestCompressedDimension:
                     if rng.getrandbits(1):
                         v ^= r
                 vectors.add(v)
-            ops = [hermitian_rep(v, n) for v in sorted(vectors)]
-            pairs.append((channel.from_noise(ops, n=n), group))
+            pairs.append((vector_channel(sorted(vectors), n), group))
         # classify's witnesses, whose counts are 1 or 4^k
         for _ in range(10):
             ch = random_channel(rng, n, 2 * n + 2)
@@ -164,7 +150,7 @@ class TestCompressedDimension:
         counts = []
         for ch, group in pairs:
             counts.append(ramsey.compressed_dimension(ch, group))
-            assert counts[-1] == definitional_compressed_dimension(ch, group), (
+            assert counts[-1] == reference.compressed_dimension(ch, group), (
                 [str(op) for op in ch.operators],
                 str(group),
             )
@@ -216,10 +202,10 @@ class TestCompressedDimension:
                     [c0 ^ away, *coset[1:]],
                 ]
                 for i, vectors in enumerate(variants):
-                    ch = channel.from_noise([hermitian_rep(v, n) for v in vectors], n=n)
+                    ch = vector_channel(vectors, n)
                     calls["pairs"] = 0
                     count = ramsey.compressed_dimension(ch, group)
-                    assert count == definitional_compressed_dimension(ch, group), (j, i)
+                    assert count == reference.compressed_dimension(ch, group), (j, i)
                     if i == 0:
                         assert count == 1 << j
                         assert (calls["pairs"] == 0) == (j >= 4), j
@@ -240,7 +226,7 @@ class TestCompressedDimension:
         calls = self._count_work(monkeypatch)
         for ch in channels:
             for group in (first, second):
-                expected = definitional_compressed_dimension(ch, group)
+                expected = reference.compressed_dimension(ch, group)
                 calls["reductions"] = 0
                 assert ramsey.compressed_dimension(ch, group) == expected
                 m = len(ch.noise)
@@ -364,9 +350,7 @@ class TestCliqueAnticliquePredicates:
     def test_maximal_channel_has_no_nontrivial_witnesses(self):
         for d in (1, 2):
             for basis in f2.enumerate_isotropic(2, d):
-                group = stabilizer.validate(
-                    [hermitian_rep(v, 2) for v in basis.rows], n=2
-                )
+                group = ramsey._group_from_rows(basis.rows, 2)
                 if group.k == 0:
                     continue
                 assert not ramsey.is_anticlique(MAXIMAL_X, group)
@@ -574,9 +558,9 @@ class TestClassify:
         n = 6
         vectors = random.Random(2).sample(range(1, 1 << (2 * n)), 4)
         checks = sorted(vectors)
-        pair = first_anticommuting_pair(checks, n)
+        pair = reference.first_anticommuting_pair(checks, n)
         assert pair is not None
-        ch = channel.from_noise([hermitian_rep(v, n) for v in vectors], n=n)
+        ch = vector_channel(vectors, n)
         h, g = pair
         unshifted = ramsey._noncommuting_clique_candidate(h, g >> n, n)
         assert not ramsey.is_clique(ch, unshifted)
@@ -621,11 +605,9 @@ class TestClassify:
         n = 16
         low = [1 << q for q in range(2 * n)] + [(1 << q) | (1 << (q + n)) for q in range(n)]
         noise = [0, *random.Random(16).sample(low, 2 * n)]
-        noncommuting = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+        noncommuting = vector_channel(noise, n)
         # the identity and Z on each qubit
-        commuting = channel.from_noise(
-            [hermitian_rep(v, n) for v in [0, *(1 << (q + n) for q in range(n))]], n=n
-        )
+        commuting = vector_channel([0, *(1 << (q + n) for q in range(n))], n)
         calls = TestCompressedDimension._count_work(monkeypatch)
         assert ramsey.classify(noncommuting).tag == "Clique"
         assert calls["difference_set"] == 0
@@ -651,10 +633,7 @@ class TestClassify:
         # one h = X on qubit 0 against several g: candidates that share h
         for _ in range(3):
             noises.append([0, 1, 1 << n | rng.randrange(1 << n) & ~1])
-        channels = [
-            channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
-            for noise in noises
-        ]
+        channels = [vector_channel(noise, n) for noise in noises]
         hits = [memo.cache_info().hits for memo in CLASSIFY_MEMOS]
         kept = [[ramsey.classify(ch).to_json_dict() for ch in channels] for _ in range(2)]
         assert all(
@@ -673,15 +652,7 @@ class TestClassify:
         # identity plus 32 weight-1/2 Paulis on 16 qubits; the identity
         # guarantees the constructive clique, so nothing is enumerated
         n = 16
-        letters = (1, 1 << n, (1 << n) | 1)  # X, Z, Y on qubit 0
-        low_weight = [a << q for q in range(n) for a in letters] + [
-            (a << q) | (b << r)
-            for q, r in combinations(range(n), 2)
-            for a in letters
-            for b in letters
-        ]
-        noise = [0, *random.Random(53).sample(low_weight, 2 * n)]
-        ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+        ch = low_weight_channel(random.Random(53), n)
         result = ramsey.classify(ch, limit=n)
         assert result.tag == "Clique"
         assert result.examined == 0
@@ -712,13 +683,10 @@ class TestClassify:
         channels = [random_channel(rng, n, 9) for _ in range(4)]
         channels += [low_weight_channel(rng, n) for _ in range(4)]
         channels += [
-            channel.from_noise(
-                [hermitian_rep(c ^ v, n) for v in rng.sample(lag, rng.randrange(1, n + 2))],
-                n=n,
-            )
+            vector_channel([c ^ v for v in rng.sample(lag, rng.randrange(1, n + 2))], n)
             for _ in range(2)
         ]
-        channels.append(channel.from_noise([hermitian_rep(c ^ v, n) for v in lag], n=n))
+        channels.append(vector_channel([c ^ v for v in lag], n))
         verdicts = set()
         for ch in channels:
             doc = ramsey.classify(ch).to_json_dict()
@@ -744,7 +712,7 @@ class TestClassify:
             result = ramsey.classify(ch)
             if result.tag != "Clique":
                 continue
-            h, g = first_anticommuting_pair(shifted_checks(ch), n)
+            h, g = reference.first_anticommuting_pair(reference.shifted_checks(ch), n)
             assert result.witness == ramsey._noncommuting_clique_candidate(h, g >> n, n)
             cliques += 1
         assert cliques > 100
@@ -776,8 +744,7 @@ class TestClassify:
             for coset in cosets:
                 for noise in [*combinations(coset, 3), coset]:
                     seen.add(noise)
-                    ops = [hermitian_rep(v, n) for v in noise]
-                    self.assert_maximal(channel.from_noise(ops, n=n))
+                    self.assert_maximal(vector_channel(noise, n))
         assert len(seen) == 300
 
     @pytest.mark.parametrize("n", range(3, 11))
@@ -786,8 +753,7 @@ class TestClassify:
         for _ in range(2):
             span = random_group(rng, n, n).check_basis().span()
             c = rng.randrange(1 << (2 * n))
-            ops = [hermitian_rep(c ^ v, n) for v in span]
-            self.assert_maximal(channel.from_noise(ops, n=n))
+            self.assert_maximal(vector_channel([c ^ v for v in span], n))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_isotropic_spans_below_n_are_anticliques(self, n):
@@ -797,7 +763,7 @@ class TestClassify:
         for d in range(n):
             span = random_group(rng, n, d).check_basis().span()
             c = rng.randrange(1 << (2 * n))
-            ch = channel.from_noise([hermitian_rep(c ^ v, n) for v in span], n=n)
+            ch = vector_channel([c ^ v for v in span], n)
             result = ramsey.classify(ch)
             assert result.tag == "Anticlique", (n, d)
             assert ramsey.is_anticlique(ch, result.witness)
@@ -889,9 +855,7 @@ class TestConstructionInternals:
         rng = random.Random(43)
         n = 4
         chs = [
-            channel.from_noise(
-                [hermitian_rep(rng.randrange(1 << (2 * n)), n) for _ in range(m)], n=n
-            )
+            vector_channel([rng.randrange(1 << (2 * n)) for _ in range(m)], n)
             for m in (1, 3, 6, 12, 16)
         ]
         for ch in chs:
@@ -901,7 +865,7 @@ class TestConstructionInternals:
                 level = ramsey._candidates(n, d)
                 for i in rng.sample(range(len(level)), min(12, len(level))):
                     group = ramsey._group_from_rows(tuple(level.rows[i].tolist()), n)
-                    assert counts[d][i] == definitional_compressed_dimension(ch, group), (
+                    assert counts[d][i] == reference.compressed_dimension(ch, group), (
                         d,
                         str(group),
                     )
@@ -1151,13 +1115,13 @@ class TestConstructionInternals:
                 functools.reduce(xor, rng.sample(rows, rng.randrange(len(rows) + 1)), 0)
                 for _ in range(rng.randrange(1, 9))
             ]
-            ch = channel.from_noise([hermitian_rep(v, n) for v in noise], n=n)
+            ch = vector_channel(noise, n)
             if is_maximal_by_definition(channel.difference_set(ch), n):
                 continue
             lag, w = lagrangian_and_w(ch)
             anywhere = functools.reduce(xor, rng.sample(lag, rng.randrange(1, n + 1)))
             for v in (w, anywhere):
-                ordered = extend_basis(f2.reduce([v], n), lag).rows
+                ordered = reference.extend_basis(f2.reduce([v], n), lag).rows
                 partners = f2.symplectic_partners((*ordered[1:], v), n)
                 expected = ramsey._group_from_rows(partners[:-1], n)
                 assert build(lag, v, n) == expected, (n, v, [str(op) for op in ch.operators])
@@ -1171,7 +1135,7 @@ class TestConstructionInternals:
     def test_noncommuting_candidate_shape(self):
         ch = make_channel("II", "XI", "ZI")
         checks = sorted({op.check_vector() for op in ch.operators})
-        h, partner = first_anticommuting_pair(checks, 2)
+        h, partner = reference.first_anticommuting_pair(checks, 2)
         cand = ramsey._noncommuting_clique_candidate(h, partner >> 2, 2)
         assert cand.num_generators == 1
         # candidate generators commute with the first anticommuting check
@@ -1198,7 +1162,7 @@ class TestConstructionInternals:
                 pairs.append((h, anticommuting_partner(rng, h, n), n))
         assert len(pairs) == 2142 + 200
         for h, g, n in pairs:
-            assert build(h, g >> n, n) == twisted_dot_clique_candidate(h, g, n), (h, g, n)
+            assert build(h, g >> n, n) == reference.clique_candidate(h, g, n), (h, g, n)
 
     def test_normalized_clique_key_builds_the_same_candidate(self):
         # the builder, passed _clique_key of (h, g >> n), against the
@@ -1219,18 +1183,12 @@ class TestConstructionInternals:
             for _ in range(50):
                 h = rng.randrange(1 << n, 1 << (2 * n))
                 pairs.append((h, anticommuting_partner(rng, h, n), n))
-            for _ in range(10):
-                gz = rng.randrange(1, 1 << n)
-                for _ in range(5):
-                    a = rng.randrange(1, 1 << n)
-                    if not (a & gz).bit_count() & 1:
-                        a ^= gz & -gz
-                    pairs.append((a, gz << n | rng.randrange(1 << n), n))
+            pairs += [(a, g, n) for a, g in x_only_pairs(rng, n)]
         assert len(pairs) == 2142 + 2 * (50 + 50)
         keys = set()
         for h, g, n in pairs:
             key = ramsey._clique_key(h, g >> n, n)
-            assert build(*key) == twisted_dot_clique_candidate(h, g, n), (h, g, n)
+            assert build(*key) == reference.clique_candidate(h, g, n), (h, g, n)
             keys.add(key)
         # an x-only h keys by (gz & -gz, gz, n), so the 5 a drawn per gz
         # share one key
@@ -1248,7 +1206,7 @@ class TestConstructionInternals:
         for ch in channels:
             n = ch.n
             ramsey.classify(ch)
-            pair = first_anticommuting_pair(shifted_checks(ch), n)
+            pair = reference.first_anticommuting_pair(reference.shifted_checks(ch), n)
             if pair is not None:
                 h, g = pair
                 raw.add((h, g >> n, n))

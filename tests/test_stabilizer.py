@@ -11,14 +11,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qramsey import f2, selftest, stabilizer
+from qramsey import f2, ramsey, selftest, stabilizer
 from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, parse
 
 from helpers import random_isotropic_rows
-
-
-def group_from_rows(rows, n):
-    return stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
 
 
 class TestValidate:
@@ -264,7 +260,7 @@ class TestCentralizerImage:
             ops = [hermitian_rep(v, n) for v in range(1 << (2 * n))]
             for d in range(n + 1):
                 for basis in f2.enumerate_isotropic(n, d):
-                    group = group_from_rows(basis.rows, n)
+                    group = ramsey._group_from_rows(basis.rows, n)
                     image = stabilizer.centralizer_image(group)
                     for v, p in enumerate(ops):
                         commutes = all(p.commutes(g) for g in group.generators)
@@ -320,7 +316,7 @@ class TestZeroCompression:
         for n in (1, 2):
             for d in range(0, n + 1):
                 for basis in f2.enumerate_isotropic(n, d):
-                    group = group_from_rows(basis.rows, n)
+                    group = ramsey._group_from_rows(basis.rows, n)
                     p = stabilizer.projector(group)
                     image = stabilizer.centralizer_image(group)
                     for v in range(1 << (2 * n)):
