@@ -1,10 +1,12 @@
 """classify past tier-1's sizes: cold classify of low-weight channels to
 n = 128, classify's memos against clearing them before every call over
-all 65,535 n=2 channels and a low-weight stream, and the normalized
-clique key against the reference candidate at n = 16..128."""
+all 65,535 n=2 channels and a low-weight stream, the normalized clique
+key against the reference candidate at n = 16..128, and clique verdicts,
+counted by classify on three operators, recounted on the whole channel."""
 
 import json
 import random
+import statistics
 import time
 
 import pytest
@@ -18,6 +20,7 @@ from helpers import (
     clear_classify_memos,
     low_weight_channel,
     one_row_starts,
+    vector_channel,
     x_only_pairs,
 )
 
@@ -112,3 +115,41 @@ def test_clique_key_builds_the_reference_candidate(n):
         key = ramsey._clique_key(h, g >> n, n)
         assert build(*key) == reference.clique_candidate(h, g, n), (h, g)
     print(f"clique key at n={n}, {len(pairs)} pairs: {(time.perf_counter() - start) * 1e3:.0f} ms")
+
+
+def _recount_cliques(channels):
+    """Recount each Clique verdict on the whole channel.
+
+    classify counts a clique candidate on three of the channel's
+    operators.  Returns the number of Clique verdicts and the time of
+    each classify call.
+    """
+    cliques, times = 0, []
+    for ch in channels:
+        start = time.perf_counter()
+        result = ramsey.classify(ch)
+        times.append(time.perf_counter() - start)
+        assert result.tag != "Inconsistent", result.diagnostic
+        if result.tag == "Clique":
+            assert ramsey.is_clique(ch, result.witness), [str(op) for op in ch.operators]
+            cliques += 1
+    return cliques, times
+
+
+def test_low_weight_cliques_pass_the_full_count(low_weight_stream):
+    cliques, _ = _recount_cliques(low_weight_stream)
+    print(f"low-weight stream: {cliques} of {len(low_weight_stream)} clique verdicts recounted")
+    assert cliques
+
+
+def test_dense_n16_cliques_pass_the_full_count():
+    # 60 seeded channels of 840 distinct random checks on 16 qubits,
+    # classified as a stream, the memos kept between calls
+    rng = random.Random(16)
+    channels = [vector_channel(rng.sample(range(1 << 32), 840), 16) for _ in range(60)]
+    cliques, times = _recount_cliques(channels)
+    print(
+        f"60 random n=16 channels, m=840: {cliques} clique verdicts recounted; "
+        f"classify median {statistics.median(times) * 1e3:.2f} ms per op"
+    )
+    assert cliques

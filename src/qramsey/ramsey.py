@@ -20,6 +20,16 @@ A witness it builds is verified rather than trusted.  An `Inconsistent`
 answer therefore means a constructed candidate failed its verification,
 which would be a counterexample worth reporting, not a bug to hide.
 
+A clique candidate is verified on the three-operator sub-channel of the
+channel's checks c0, c0 ^ h and c0 ^ g, whatever the channel's size:
+- W(sub) = {0, h, g, h ^ g} is a subset of W(ch);
+- the count is monotone in W;
+- and it never exceeds 4^k.
+So a count of 4^k on the sub-channel is 4^k on the channel.  The
+construction's proof reads only h, g and h ^ g, so the check is complete
+as well.  An anticlique candidate is counted against the whole channel,
+since its verdict needs all of W.
+
 The constructions read nothing of the channel beyond a check h and the
 z half of its partner g, or a Lagrangian and one vector, so the two
 candidate builders keep their last 256 results in a `functools.lru_cache`
@@ -578,7 +588,7 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     """Trichotomy: maximal stabilizer channel, anticlique, or clique.
 
     One pass follows the constructive proof.  Every check vector is
-    shifted by the smallest one, c -> c ^ checks[0].  The difference set
+    shifted by the smallest one, c0: c -> c ^ c0.  The difference set
     W is unchanged, and the shifted checks contain 0, so each of them is
     itself a difference.  If two shifted checks anticommute, the first
     such pair lies in W and the clique construction applies.  If they all
@@ -589,22 +599,29 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     Otherwise the smallest vector of L outside W drives the anticlique
     construction.  W is built in that commuting branch only; the clique
     branch never reads it.  A constructed candidate is verified; one that
-    fails is answered with Inconsistent and a diagnostic, since it would
-    contradict the theorem.  Each candidate builder keeps its last 256
-    candidates (a bounded ``lru_cache``, keyed by (L, w, n) or by
-    ``_clique_key(h, g >> n, n)``: the clique construction reads only g's
-    z half, and keys that build the same candidate are mapped to one),
-    and the verifying count keeps its last 256 groups' tables; the count
-    itself runs on every call, so a kept candidate is verified against
-    each channel it is returned for.  Every step is polynomial in
-    n and the number of noise operators, so ``limit`` (a qubit cap that
-    raises CapacityError) is off by default.
+    fails is answered with Inconsistent and a diagnostic naming the whole
+    channel's noise, since it would contradict the theorem.  An anticlique
+    candidate is counted against the whole channel.  A clique candidate
+    is counted against the sub-channel of the operators whose checks are
+    c0, c0 ^ h and c0 ^ g, for the pair (h, g): three walks of the
+    count's table, whatever the number of operators.  W(sub) = {0, h, g,
+    h ^ g} lies in W, the count is monotone in W, and it never exceeds
+    4^k, so 4^k on the sub-channel is 4^k on the channel.  Each candidate
+    builder keeps its last 256 candidates (a bounded ``lru_cache``, keyed
+    by (L, w, n) or by ``_clique_key(h, g >> n, n)``: the clique
+    construction reads only g's z half, and keys that build the same
+    candidate are mapped to one), and the verifying count keeps its last
+    256 groups' tables; the count itself runs on every call, so a kept
+    candidate is verified against each channel it is returned for.  Every
+    step is polynomial in n and the number of noise operators, so
+    ``limit`` (a qubit cap that raises CapacityError) is off by default.
     """
     n = ch.n
     if limit is not None and n > limit:
         raise CapacityError(f"classification limited to {limit} qubits, got {n}")
-    checks = sorted({op.check_vector() for op, _ in ch.noise})
-    shifted = sorted(c ^ checks[0] for c in checks)
+    ops = {op.check_vector(): op for op, _ in ch.noise}
+    c0 = min(ops)
+    shifted = sorted(c ^ c0 for c in ops)
     # the first anticommuting pair in the order of combinations(shifted, 2);
     # twisted_dot(a, b) is the parity of a & swap_halves(b), and each check
     # is swapped once, not once per pair.  An operator holds n bits per
@@ -639,7 +656,10 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     else:
         h, g = pair
         candidate = _noncommuting_clique_candidate(*_clique_key(h, g >> n, n))
-        if is_clique(ch, candidate):
+        # the operators of the checks c0, c0 ^ h and c0 ^ g, distinct as
+        # h, g and h ^ g are nonzero: W(sub) = {0, h, g, h ^ g}
+        sub = PauliChannel(n, tuple((ops[c0 ^ v], 1 / 3) for v in (0, h, g)))
+        if is_clique(sub, candidate):
             return ClassificationResult(
                 "Clique", candidate, 1 << (2 * candidate.k), 0
             )

@@ -261,6 +261,29 @@ class TestVerify:
         assert doc["kl_check"] is True
         assert "privacy" not in doc
 
+    def test_one_count_per_report(self, capsys, tmp_path, monkeypatch, maximal_file):
+        # is_anticlique and is_clique are read off the report's one
+        # compressed_dimension: an anticlique, a clique and neither
+        calls = []
+        real = ramsey.compressed_dimension
+        monkeypatch.setattr(
+            ramsey,
+            "compressed_dimension",
+            lambda ch, group: calls.append(str(group)) or real(ch, group),
+        )
+        for path, code_text, anticlique, clique in (
+            (write_channel(tmp_path, ["XI", "ZI"], "anti.json"), "ZI", True, False),
+            (write_channel(tmp_path, ["II", "XI", "ZI"], "clique.json"), "IX", False, True),
+            (maximal_file, "ZZ", False, False),
+        ):
+            calls.clear()
+            code, out, _ = invoke(capsys, "verify", "--channel", path,
+                                  "--stabilizer", code_text)
+            assert code == 0
+            doc = json.loads(out)
+            assert (doc["is_anticlique"], doc["is_clique"]) == (anticlique, clique)
+            assert calls == [code_text]
+
     def test_route_disagreement_exits_2(self, capsys, maximal_file, monkeypatch):
         monkeypatch.setattr(
             "qramsey.oracle.dense_compressed_dimension",

@@ -13,7 +13,7 @@ from operator import xor
 import numpy as np
 import pytest
 
-from qramsey import channel, f2, oracle, ramsey, stabilizer
+from qramsey import channel, f2, oracle, ramsey, selftest, stabilizer
 from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, identity, parse
 
 import reference
@@ -716,6 +716,57 @@ class TestClassify:
             assert result.witness == ramsey._noncommuting_clique_candidate(h, g >> n, n)
             cliques += 1
         assert cliques > 100
+
+    def test_clique_verdicts_pass_the_full_count(self):
+        # classify counts a clique candidate on three of the channel's
+        # operators; recounted over all of them it must still hit 4^k
+        # cosets: a seeded slice of the n=2 channels, then random,
+        # low-weight and dense channels at n = 3..16
+        rng = random.Random(47)
+        channels = [
+            selftest._mask_channel(mask, 2)
+            for mask in rng.sample(range(1, 1 << 16), 4096)
+        ]
+        for n in range(3, 17):
+            channels += [random_channel(rng, n, 12) for _ in range(4)]
+            channels += [low_weight_channel(rng, n) for _ in range(4)]
+            m = min(1 << (2 * n - 1), 300)
+            channels += [
+                vector_channel(rng.sample(range(1 << (2 * n)), m), n) for _ in range(2)
+            ]
+        cliques = {2: 0, 3: 0}
+        for ch in channels:
+            result = ramsey.classify(ch)
+            assert result.tag != "Inconsistent"
+            if result.tag == "Clique":
+                assert ramsey.is_clique(ch, result.witness), ch
+                cliques[min(ch.n, 3)] += 1
+        assert cliques[2] > 4000 and cliques[3] > 100, cliques
+
+    def test_clique_is_counted_on_three_of_the_channels_operators(self, monkeypatch):
+        # one count, on the operators of the checks c0, c0 ^ h and c0 ^ g,
+        # c0 the smallest check and (h, g) the first anticommuting pair of
+        # the shifted checks, whatever the channel's size
+        rng = random.Random(53)
+        real = ramsey.compressed_dimension
+        for n, m in ((4, 100), (8, 150), (16, 400)):
+            ch = vector_channel(rng.sample(range(1 << (2 * n)), m), n)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    ramsey,
+                    "compressed_dimension",
+                    lambda sub, group: calls.append(sub) or real(sub, group),
+                )
+                result = ramsey.classify(ch)
+            assert result.tag == "Clique"
+            [sub] = calls
+            c0 = min(op.check_vector() for op in ch.operators)
+            h, g = reference.first_anticommuting_pair(reference.shifted_checks(ch), n)
+            assert sub.n == n
+            assert [op.check_vector() for op in sub.operators] == [c0, c0 ^ h, c0 ^ g]
+            own = {id(op) for op in ch.operators}
+            assert all(id(op) in own for op in sub.operators)
 
     @staticmethod
     def assert_maximal(ch):
