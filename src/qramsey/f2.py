@@ -276,9 +276,24 @@ def coset_count(hits: Iterable[int], sub: F2Basis) -> int:
     """Number of distinct cosets of span(sub) represented among ``hits``.
 
     ``sub`` must be canonical (reduce() output), so that :func:`reduce_mod`
-    picks one representative per coset.
+    picks one representative per coset.  The hits are range-checked once,
+    by their least and greatest, and a hit is reduced only if it holds a
+    pivot of ``sub``: one clear of every pivot is its own representative.
+    So h hits cost O(h) set and mask operations plus O(dim) for each hit
+    that holds a pivot; already reduced hits cost O(1) each.
     """
-    return len({reduce_mod(h, sub) for h in hits})
+    hits = set(hits)
+    if hits:
+        least = min(hits)
+        _check_vector(least if least < 0 else max(hits), sub.n)
+    pivots = 0
+    for r in sub.rows:
+        pivots |= r & -r
+    held = [h for h in hits if h & pivots]
+    if held:
+        hits.difference_update(held)
+        hits.update(_reduce_mod(h, sub) for h in held)
+    return len(hits)
 
 
 # elements per chunk of enumerate_isotropic's level pass; bounds its temporaries

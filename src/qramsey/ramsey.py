@@ -206,8 +206,8 @@ def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
                 rep ^= image
         classes.setdefault(c, set()).add(rep)
     # 0 = a ^ a, and a ^ b = b ^ a: each unordered pair is XORed once.
-    # The XORs are reduced already; the set leaves coset_count one
-    # reduction per hit coset
+    # The XORs are reduced already, so they are clear of L(R)'s pivots and
+    # coset_count reduces none of them; the set holds one per hit coset
     hits = {0}
     for reps in classes.values():
         size = len(reps)
@@ -503,6 +503,25 @@ def _noncommuting_clique_candidate(h: int, gz: int, n: int) -> StabilizerGroup:
     return _group_from_rows(rows, n)
 
 
+def _first_anticommuting_pair(shifted: list[int], n: int) -> tuple[int, int] | None:
+    """The first pair of ``shifted`` in combinations order with twisted dot 1.
+
+    ``shifted`` is classify's ascending shifted checks, so ``shifted[0]``
+    is 0, which commutes with every check: the scan starts after it.
+    twisted_dot(a, b) is the parity of swap_halves(a) & b, so only the
+    outer check a is swapped, once.  An operator holds n bits per half,
+    so a >> n is the z half of a check a.
+    """
+    low = (1 << n) - 1
+    for i in range(1, len(shifted) - 1):
+        a = shifted[i]
+        t = a >> n | (a & low) << n
+        for b in shifted[i + 1 :]:
+            if (t & b).bit_count() & 1:
+                return a, b
+    return None
+
+
 def _clique_key(h: int, gz: int, n: int) -> tuple[int, int, int]:
     """The memo key of the clique candidate of (h, gz): one per candidate.
 
@@ -622,21 +641,7 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     ops = {op.check_vector(): op for op, _ in ch.noise}
     c0 = min(ops)
     shifted = sorted(c ^ c0 for c in ops)
-    # the first anticommuting pair in the order of combinations(shifted, 2);
-    # twisted_dot(a, b) is the parity of a & swap_halves(b), and each check
-    # is swapped once, not once per pair.  An operator holds n bits per
-    # half, so c >> n is the z half of a check c
-    low = (1 << n) - 1
-    swapped = [c >> n | (c & low) << n for c in shifted]
-    pair = next(
-        (
-            (a, shifted[j])
-            for i, a in enumerate(shifted)
-            for j in range(i + 1, len(shifted))
-            if (a & swapped[j]).bit_count() & 1
-        ),
-        None,
-    )
+    pair = _first_anticommuting_pair(shifted, n)
     if pair is None:
         # L walked in ascending order without being built: w is found in
         # at most |W| + 1 steps, not the 2^n of the whole Lagrangian
@@ -658,7 +663,9 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
         candidate = _noncommuting_clique_candidate(*_clique_key(h, g >> n, n))
         # the operators of the checks c0, c0 ^ h and c0 ^ g, distinct as
         # h, g and h ^ g are nonzero: W(sub) = {0, h, g, h ^ g}
-        sub = PauliChannel(n, tuple((ops[c0 ^ v], 1 / 3) for v in (0, h, g)))
+        sub = PauliChannel(
+            n, ((ops[c0], 1 / 3), (ops[c0 ^ h], 1 / 3), (ops[c0 ^ g], 1 / 3))
+        )
         if is_clique(sub, candidate):
             return ClassificationResult(
                 "Clique", candidate, 1 << (2 * candidate.k), 0

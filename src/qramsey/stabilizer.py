@@ -11,7 +11,7 @@ by check vector, so equal groups compare equal.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,10 +36,22 @@ ELEMENT_LIMIT = 20
 
 @dataclass(frozen=True, slots=True)
 class StabilizerGroup:
-    """Canonically presented stabilizer group; build via :func:`validate`."""
+    """Canonically presented stabilizer group; build via :func:`validate`.
+
+    The hash is that of (n, generators), computed on the first ``hash``
+    call and then kept in ``_hash``, so a memo lookup keyed by the group
+    does not re-hash its generators.  That slot takes no part in
+    ``__init__``, ``==`` or ``repr``.
+    """
 
     n: int
     generators: tuple[PauliOperator, ...]
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, self.generators)))
+        return self._hash
 
     @property
     def num_generators(self) -> int:

@@ -60,6 +60,12 @@ def low_weight_channel(rng, n):
 
 
 def random_channel(rng, n, max_ops=5):
+    """The channel of 1 to max_ops - 1 random check vectors, repeats merged.
+
+    ``selftest._random_channel(rng, n, max_ops)`` draws 1 to max_ops
+    operators: the same argument, one more at the top.  The draws stay as
+    they are, since every seeded test and digest built on them would move.
+    """
     return vector_channel(
         [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(1, max_ops))], n
     )

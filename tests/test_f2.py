@@ -228,10 +228,13 @@ class TestCosets:
             sub = rng.choice(candidates)
             pool = f2.twisted_kernel(sub.rows, n).span()
             hits = [rng.choice(pool) for _ in range(rng.randrange(1, 8))]
-            got = f2.coset_count(hits, sub)
             sub_span = set(sub.span())
             classes = {frozenset(h ^ s for s in sub_span) for h in hits}
-            assert got == len(classes)
+            # as drawn, reduced first (so clear of every pivot of sub), and
+            # as generators, which coset_count reads once
+            reduced = [f2.reduce_mod(h, sub) for h in hits]
+            for given in (hits, reduced, iter(hits), (h for h in hits + reduced)):
+                assert f2.coset_count(given, sub) == len(classes)
 
 
 class TestEnumerateIsotropic:
@@ -523,6 +526,7 @@ class TestVectorRange:
             lambda v: f2.complete_lagrangian([v], 2),
             lambda v: f2.symplectic_partners((1, v), 2),
             lambda v: f2.coset_count([0, v], f2.reduce([1], 2)),
+            lambda v: f2.coset_count(iter([2, v, 0]), f2.F2Basis(2, ())),
             lambda v: f2.format_vector(v, 2),
             lambda v: ramsey.compressed_dimension(
                 _channel_of(v, 2), stabilizer.from_string("ZI")
@@ -538,6 +542,7 @@ class TestVectorRange:
             "complete_lagrangian",
             "symplectic_partners",
             "coset_count",
+            "coset_count_no_pivots",
             "format_vector",
             "compressed_dimension",
         ],

@@ -22,6 +22,7 @@ from helpers import (
     anticommuting_partner,
     clear_classify_memos,
     low_weight_channel,
+    low_weight_vectors,
     make_channel,
     random_channel,
     random_group,
@@ -704,18 +705,32 @@ class TestClassify:
     def test_clique_witness_comes_from_the_first_anticommuting_pair(self):
         # the pair is the first in combinations order over the shifted
         # checks; another anticommuting pair can give another witness
-        rng = random.Random(31)
-        cliques = 0
-        for c in range(200):
-            n = 1 + c % 6
-            ch = random_channel(rng, n, 10)
+        def from_first_pair(ch):
+            n = ch.n
             result = ramsey.classify(ch)
             if result.tag != "Clique":
-                continue
+                return False
             h, g = reference.first_anticommuting_pair(reference.shifted_checks(ch), n)
             assert result.witness == ramsey._noncommuting_clique_candidate(h, g >> n, n)
-            cliques += 1
-        assert cliques > 100
+            return True
+
+        rng = random.Random(31)
+        channels = [random_channel(rng, 1 + c % 6, 10) for c in range(200)]
+        assert sum(map(from_first_pair, channels)) > 100
+        # low-weight noise without the identity, so the smallest check is
+        # not 0; and the scan's worst case, the x-only Lagrangian plus Z on
+        # the top qubit, whose early checks commute with every later one,
+        # as given and shifted
+        cliques = [
+            vector_channel(rng.sample(low_weight_vectors(n), 2 * n), n)
+            for n in range(2, 7)
+            for _ in range(4)
+        ]
+        for n in range(1, 7):
+            worst = [*range(1 << n), 1 << (2 * n - 1)]
+            c = rng.randrange(1 << (2 * n))
+            cliques += [vector_channel(worst, n), vector_channel([c ^ v for v in worst], n)]
+        assert all(map(from_first_pair, cliques))
 
     def test_clique_verdicts_pass_the_full_count(self):
         # classify counts a clique candidate on three of the channel's
@@ -767,6 +782,27 @@ class TestClassify:
             assert [op.check_vector() for op in sub.operators] == [c0, c0 ^ h, c0 ^ g]
             own = {id(op) for op in ch.operators}
             assert all(id(op) in own for op in sub.operators)
+
+    def test_warm_clique_classify_hashes_no_operator(self, monkeypatch):
+        # the candidate keeps its hash, so with the memos warm the count
+        # table's lookup hashes none of the candidate's generators; a group
+        # built apart, the spy's control, hashes each of them once
+        rng = random.Random(59)
+        real = PauliOperator.__hash__
+        for n in (8, 16):
+            ch = low_weight_channel(rng, n)
+            first = ramsey.classify(ch)
+            assert first.tag == "Clique"
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    PauliOperator, "__hash__", lambda op: calls.append(op) or real(op)
+                )
+                assert ramsey.classify(ch) == first
+                assert calls == []
+                apart = stabilizer.validate(first.witness.generators, n=n)
+                assert hash(apart) == hash(first.witness)
+            assert len(calls) == n - first.witness.k
 
     @staticmethod
     def assert_maximal(ch):

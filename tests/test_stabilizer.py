@@ -65,6 +65,16 @@ class TestCanonicalForm:
         assert a == b == c
         assert str(a) == "ZI,IZ"
 
+    def test_hash_is_kept_out_of_repr_and_equality(self):
+        a = stabilizer.from_string("ZZ,ZI")
+        b = stabilizer.from_string("ZI,IZ")
+        # b's hash is computed and kept, a's not yet
+        assert hash(b) == hash((2, b.generators))
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b) == "StabilizerGroup(n=2, generators=%r)" % (b.generators,)
+        assert {a: 1}[b] == 1
+
     def test_signs_tracked_through_reduction(self):
         group = stabilizer.from_string("-ZZ,ZI")
         assert str(group) == "ZI,-IZ"
