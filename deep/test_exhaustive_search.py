@@ -1,9 +1,11 @@
 """search past tier-1's sizes: records reused across searches against an
-empty level cache, and the n = 5 walk on a seeded maximal channel.
+empty level cache, the n = 5 walk on a seeded maximal channel, and the
+first n = 5 search of a seeded 16-operator channel.
 
-Run as a script, this module does the n = 5 search alone.  Its test runs
-it so, in a process of its own: the first search then starts from an
-empty level cache, and the peak RSS it prints is that search's own.
+Run as a script, this module does one n = 5 search, named by its
+argument (``maximal`` or ``s16``).  Each test runs it so, in a process of
+its own: the first search then starts from empty caches, and the peak
+RSS it prints is that search's own.
 """
 
 import itertools
@@ -18,6 +20,7 @@ import numpy as np
 
 from qramsey import channel, ramsey, selftest, stabilizer
 
+import reference
 from helpers import make_channel
 
 
@@ -69,13 +72,57 @@ def maximal_search_at_n5():
     )
 
 
-def test_maximal_search_at_n5():
-    # the child imports qramsey and helpers from where this process does
+def first_16_operator_search_at_n5():
+    n = 5
+    paulis = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+    ch = make_channel(*random.Random(16).sample(paulis, 16))
+    start = time.perf_counter()
+    report = ramsey.search(ch, "both", limit=5)
+    elapsed = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(
+        f"n=5 channel of 16 operators (random.Random(16)): {len(report.witnesses)} "
+        f"witnesses of {report.total_examined} codes; cold first search {elapsed:.1f} s, "
+        f"peak RSS {peak:.0f} MB"
+    )
+    # a seeded sample of every level, recorded or not, against the
+    # reduction route on the same rows
+    rng = random.Random(5)
+    table = ramsey._plus_signed(n)
+    checked = recorded = 0
+    for d in range(n):
+        cands = ramsey._candidates(n, d)
+        for i in sorted(rng.sample(range(len(cands)), min(300, len(cands)))):
+            ops = [table[v] for v in cands.rows[i].tolist()]
+            want = reference.validate(ops, n=n)
+            assert stabilizer.validate(ops, n=n).generators == want.generators, (d, i)
+            records = cands.records[i][cands.built[i]] if len(cands.built) else ()
+            for record in records:
+                assert record.group.generators == want.generators, (d, i)
+                recorded += 1
+            checked += 1
+    assert recorded
+    print(f"{checked} sampled n=5 candidates ({recorded} records) match the reduction route")
+
+
+def _run_child(name):
+    # the child imports qramsey, helpers and reference from where this
+    # process does
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    child = subprocess.run(
+        [sys.executable, __file__, name], env=env, capture_output=True, text=True
+    )
     assert child.returncode == 0, child.stderr
     print(child.stdout, end="")
 
 
+def test_maximal_search_at_n5():
+    _run_child("maximal")
+
+
+def test_first_16_operator_search_at_n5():
+    _run_child("s16")
+
+
 if __name__ == "__main__":
-    maximal_search_at_n5()
+    {"maximal": maximal_search_at_n5, "s16": first_16_operator_search_at_n5}[sys.argv[1]]()

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import f2
 from .channel import PauliChannel, difference_set
-from .pauli import CapacityError, hermitian_rep
+from .pauli import CapacityError, PauliOperator, hermitian_rep
 from .stabilizer import StabilizerGroup, centralizer_image, validate
 
 __all__ = [
@@ -279,8 +279,11 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
 # record is fixed by (n, d, candidate, kind), so each candidate keeps the
 # SearchWitness built on its first hit as each kind, and later searches
 # gather them with one fancy index.  A candidate's two records share one
-# stabilizer group, built from its array row and validated once per
-# process.
+# stabilizer group, validated once per process from the plus-signed
+# operators of its array row.  Those come from one table per n, holding
+# hermitian_rep(v, n) at index v, so every group of a process shares
+# them.  The rows are canonical bases already, so validate checks their
+# operators and sorts them, but reduces nothing.
 
 # elements per chunk of a level's build and of its walk step; bounds their
 # temporaries
@@ -313,11 +316,15 @@ class _Candidates:
             self.records = np.empty((len(self), 2), dtype=object)
             self.built = np.zeros((len(self), 2), dtype=bool)
         missing = ~self.built[hits, kinds]
-        for i, kind in zip(hits[missing].tolist(), kinds[missing].tolist()):
+        new = hits[missing]
+        ops = _plus_signed(self.n)
+        for i, kind, row in zip(
+            new.tolist(), kinds[missing].tolist(), self.rows[new].tolist()
+        ):
             if self.built[i, 1 - kind]:
                 group = self.records[i, 1 - kind].group
             else:
-                group = _group_from_rows(tuple(self.rows[i].tolist()), self.n)
+                group = validate([ops[v] for v in row], n=self.n)
             dim_pgp = 1 << (2 * group.k) if kind else 1
             self.records[i, kind] = SearchWitness(group.k, _KINDS[kind], group, dim_pgp)
             self.built[i, kind] = True
@@ -325,6 +332,20 @@ class _Candidates:
 
 
 _SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
+
+# the table of _plus_signed per n
+_PLUS_SIGNED: dict[int, tuple[PauliOperator, ...]] = {}
+
+
+def _plus_signed(n: int) -> tuple[PauliOperator, ...]:
+    """``hermitian_rep(v, n)`` at index v, for every v in F_2^{2n}.
+
+    Built once per n on first use: 4^n operators, which search's qubit
+    limit bounds.
+    """
+    if n not in _PLUS_SIGNED:
+        _PLUS_SIGNED[n] = tuple(hermitian_rep(v, n) for v in range(1 << (2 * n)))
+    return _PLUS_SIGNED[n]
 
 
 def _packed(rows: np.ndarray, n: int) -> np.ndarray:

@@ -5,7 +5,9 @@ Hermitian, pairwise commuting, and independent at the check-vector level;
 those three conditions already rule out -I as a product.  The canonical
 generators are the products of generators, named by f2's tracked
 reduction, whose check vectors are the reduced row echelon basis; sorted
-by check vector, so equal groups compare equal.
+by check vector, so equal groups compare equal.  Generators whose check
+vectors already are that basis are their own canonical generators, so
+:func:`validate` sorts them and reduces nothing; every check still runs.
 """
 
 from __future__ import annotations
@@ -83,6 +85,17 @@ def validate(generators: Sequence[PauliOperator], n: int | None = None) -> Stabi
     non-Hermitian input, the offending pair for anticommuting input, and
     reports dependent check vectors.  An empty generator list needs an
     explicit ``n`` and stabilizes the full space.
+
+    The qubit counts and Hermiticity are checked per generator, then
+    commutation in one pass over the check vectors: the pair (i, j)
+    anticommutes when swap_halves(v_i) & v_j has odd parity, and pairs are
+    tried in the order (1,2), (1,3), ..., (2,3), ..., so the first one
+    named is the same as pair by pair.  When the check vectors already
+    form the fully reduced basis, with distinct lowest-bit pivots and no
+    row holding another row's pivot, each reduced row is named by its own
+    generator alone; the canonical generators are then the inputs, sorted
+    by check vector, and the tracked reduction is skipped.  Any other
+    input, dependent ones included, is reduced.
     """
     gens = list(generators)
     if not gens:
@@ -100,10 +113,19 @@ def validate(generators: Sequence[PauliOperator], n: int | None = None) -> Stabi
             )
         if not g.is_hermitian():
             raise ValueError(f"generator {i + 1} ({g}) is not Hermitian")
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if not gens[i].commutes(gens[j]):
+    checks = [g.check_vector() for g in gens]
+    low = (1 << n) - 1
+    # the lowest bits of the rows, and every other bit they hold
+    pivots = rest = 0
+    for i, v in enumerate(checks):
+        t = v >> n | (v & low) << n
+        for j in range(i + 1, len(checks)):
+            if (t & checks[j]).bit_count() & 1:
                 raise ValueError(f"generators anticommute: ({i + 1},{j + 1})")
+        pivots |= v & -v
+        rest |= v & (v - 1)
+    if pivots.bit_count() == len(checks) and not rest & pivots:
+        return StabilizerGroup(n, tuple(g for _, g in sorted(zip(checks, gens))))
     return StabilizerGroup(n, _canonical(gens, n))
 
 

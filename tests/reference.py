@@ -196,6 +196,33 @@ def enumerate_isotropic(n: int, d: int) -> list[tuple[int, ...]]:
     return sorted(current)
 
 
+# -- stabilizer groups
+
+def validate(generators, n=None) -> stabilizer.StabilizerGroup:
+    """stabilizer.validate by the reduction route, on every input.
+
+    The checks one generator at a time, then ``PauliOperator.commutes``
+    on each pair in order, then ``stabilizer._canonical``'s tracked
+    reduction; the fast path skips that reduction for a basis that is
+    already fully reduced, and must give the same group, generators and
+    errors.
+    """
+    gens = list(generators)
+    if not gens:
+        return stabilizer.validate(gens, n=n)
+    if n is None:
+        n = gens[0].n
+    for i, g in enumerate(gens):
+        if g.n != n:
+            raise ValueError(f"generator {i + 1} ({g}) acts on {g.n} qubits, expected {n}")
+        if not g.is_hermitian():
+            raise ValueError(f"generator {i + 1} ({g}) is not Hermitian")
+    for (i, a), (j, b) in itertools.combinations(enumerate(gens, 1), 2):
+        if not a.commutes(b):
+            raise ValueError(f"generators anticommute: ({i},{j})")
+    return stabilizer.StabilizerGroup(n, stabilizer._canonical(gens, n))
+
+
 # -- classify and the compressed dimension
 
 def shifted_checks(ch):

@@ -1133,6 +1133,31 @@ class TestConstructionInternals:
                 memoized += 1
         assert memoized == built
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_record_groups_share_the_tables_operators(self, n, validate_calls, monkeypatch):
+        # every code is an anticlique of the identity channel, so one cold
+        # search builds the group of every candidate; its generators are the
+        # operators of the one table of n, which is all that search builds
+        monkeypatch.setattr(ramsey, "_PLUS_SIGNED", {})
+        ch = make_channel("I" * n)
+        constructed = []
+        real_post_init = PauliOperator.__post_init__
+
+        def counting_post_init(op):
+            constructed.append(op)
+            real_post_init(op)
+
+        with monkeypatch.context() as spy:
+            spy.setattr(PauliOperator, "__post_init__", counting_post_init)
+            report = ramsey.search(ch, mode="both")
+        assert len(constructed) <= 4**n
+        table = ramsey._plus_signed(n)
+        assert table == tuple(hermitian_rep(v, n) for v in range(4**n))
+        codes = sum(count for _, count in report.examined)
+        assert len(report.witnesses) == len(validate_calls) == codes
+        for w in report.witnesses:
+            assert all(g is table[g.check_vector()] for g in w.group.generators)
+
     def test_anticlique_and_clique_records_share_one_group(self, validate_calls):
         # every k=1 code is an anticlique of the identity channel and a
         # clique of the full Pauli channel

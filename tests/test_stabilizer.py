@@ -5,6 +5,8 @@ against explicit matrix products and the projector lemmas against real
 spectral facts, not against the symplectic code under test.
 """
 
+import collections
+import functools
 import random
 from itertools import combinations
 
@@ -14,7 +16,8 @@ import pytest
 from qramsey import f2, ramsey, selftest, stabilizer
 from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, parse
 
-from helpers import random_isotropic_rows
+import reference
+from helpers import random_isotropic_rows, random_pauli
 
 
 class TestValidate:
@@ -145,14 +148,16 @@ def _outcome(build, gens):
         return str(err)
 
 
+def _signed(rng, g):
+    """g or -g, at random."""
+    return PauliOperator(g.n, (g.phase + 2 * rng.randrange(2)) % 4, g.x, g.z)
+
+
 def _scrambled_presentation(rng, rows, n):
     """Generators of the group on ``rows`` with random signs, replaced by
     random products of each other, sometimes with a signed product of some
     of them (or +-I) appended, and shuffled."""
-    gens = []
-    for v in rows:
-        g = hermitian_rep(v, n)
-        gens.append(PauliOperator(n, (g.phase + 2 * rng.randrange(2)) % 4, g.x, g.z))
+    gens = [_signed(rng, hermitian_rep(v, n)) for v in rows]
     if len(gens) > 1:
         for _ in range(rng.randrange(2 * len(gens))):
             i, j = rng.sample(range(len(gens)), 2)
@@ -197,6 +202,105 @@ class TestOnePassCanonical:
             assert _outcome(lambda g: stabilizer.validate(g, n=n).generators, gens) == want
             errors += isinstance(want, str)
         assert 40 < errors < 200
+
+
+class TestReducedFastPath:
+    """validate skips the tracked reduction for a fully reduced basis."""
+
+    @staticmethod
+    @functools.cache
+    def presentations():
+        """Every isotropic basis at n <= 4 (19,930), as its plus-signed
+        operators in order, then shuffled with random signs."""
+        rng = random.Random(29)
+        out = []
+        for n in range(1, 5):
+            plus = [hermitian_rep(v, n) for v in range(1 << (2 * n))]
+            for d in range(n + 1):
+                for basis in f2.enumerate_isotropic(n, d):
+                    ops = [plus[v] for v in basis.rows]
+                    shuffled = [_signed(rng, g) for g in ops]
+                    rng.shuffle(shuffled)
+                    out.append((n, ops, shuffled))
+        assert len(out) == 19930
+        return out
+
+    def test_reduced_bases_match_the_reduction_route(self, monkeypatch):
+        cases = self.presentations()
+        want = [
+            (reference.validate(ops, n=n), reference.validate(shuffled, n=n))
+            for n, ops, shuffled in cases
+        ]
+
+        def no_reduction(gens, n):
+            raise AssertionError("a reduced basis was reduced again")
+
+        monkeypatch.setattr(stabilizer, "_canonical", no_reduction)
+        signed = 0
+        for (n, ops, shuffled), (plain, mixed) in zip(cases, want):
+            group = stabilizer.validate(ops, n=n)
+            assert group.generators == plain.generators, [str(g) for g in ops]
+            # the inputs themselves, no products
+            assert all(any(g is h for h in ops) for g in group.generators)
+            again = stabilizer.validate(shuffled, n=n)
+            assert again.generators == mixed.generators, [str(g) for g in shuffled]
+            signed += again != group
+        assert signed > 15000
+
+    def test_other_presentations_match_the_reduction_route(self):
+        # products of the generators, random signs, sometimes a dependent
+        # extra: the reduction route, its errors included
+        rng = random.Random(31)
+        reduced = errors = 0
+        for n, ops, _ in self.presentations()[::3]:
+            gens = _scrambled_presentation(rng, [g.check_vector() for g in ops], n)
+            want = _outcome(lambda g: reference.validate(g, n=n).generators, gens)
+            assert _outcome(lambda g: stabilizer.validate(g, n=n).generators, gens) == want
+            checks = [g.check_vector() for g in gens]
+            reduced += f2.reduce(checks, n).rows == tuple(sorted(checks, key=lambda v: v & -v))
+            errors += isinstance(want, str)
+        # both routes are taken: some presentations are still reduced
+        assert errors > 1000 and 0 < reduced < 2000
+
+    def test_random_lists_fail_as_the_reduction_route_does(self):
+        # random phases and check vectors: the first offending generator or
+        # pair, and dependence, are reported as pair by pair
+        rng = random.Random(37)
+        outcomes = collections.Counter()
+        kinds = ("Hermitian", "anticommute", "dependent")
+        for _ in range(4000):
+            n = rng.randrange(1, 4)
+            gens = [random_pauli(rng, n) for _ in range(rng.randrange(1, n + 2))]
+            want = _outcome(lambda g: reference.validate(g, n=n), gens)
+            assert _outcome(lambda g: stabilizer.validate(g, n=n), gens) == want
+            if isinstance(want, str):
+                outcomes[next(k for k in kinds if k in want)] += 1
+            else:
+                outcomes["group"] += 1
+        assert set(outcomes) == {"group", *kinds}
+
+    @pytest.mark.parametrize(
+        "gens, n, message",
+        [
+            (["XI", "iIZ"], None, "generator 2 (iIZ) is not Hermitian"),
+            (["-iXI", "IZ"], None, "generator 1 (-iXI) is not Hermitian"),
+            (["XI", "IX", "ZI"], None, "generators anticommute: (1,3)"),
+            (["XI", "ZI", "IX", "IZ"], None, "generators anticommute: (1,2)"),
+            (["IX", "XI", "IZ"], None, "generators anticommute: (1,3)"),
+            (["ZI", "II"], None, "generator check vectors are dependent"),
+            (["II"], None, "generator check vectors are dependent"),
+            (["ZI", "ZI"], None, "generator check vectors are dependent"),
+            (["ZI", "-ZI"], None, "generator check vectors are dependent"),
+            (["ZI", "Z"], None, "generator 2 (Z) acts on 1 qubits, expected 2"),
+            (["ZI", "IZ"], 3, "generator 1 (ZI) acts on 2 qubits, expected 3"),
+        ],
+    )
+    def test_reduced_shaped_input_is_still_rejected(self, gens, n, message):
+        ops = [parse(s) for s in gens]
+        for route in (stabilizer.validate, reference.validate):
+            with pytest.raises(ValueError) as err:
+                route(ops, n=n)
+            assert str(err.value) == message
 
 
 class TestElements:
