@@ -320,7 +320,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--text", action="store_true", help="human readable output")
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
         return p
 
     p = add("dim", _cmd_dim, "compressed dimension of a code under a channel")
@@ -347,11 +346,11 @@ def _build_parser() -> _Parser:
     p = add("verify", _cmd_verify, "run every predicate through both routes")
     p.add_argument("--channel", required=True, metavar="FILE")
     p.add_argument("--stabilizer", required=True, metavar="GENS")
-    p.add_argument("--oracle", action="store_true",
-                   help="accepted for uniformity; verify always cross-checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for privacy sampling")
 
     p = add("selftest", _cmd_selftest, "run the nine-part verification battery")
     p.add_argument("--n", type=int, default=None, help="cap the qubit count")
+    p.add_argument("--seed", type=int, default=0, help="seed for the sampled criteria")
     p.add_argument("--exhaustive", action="store_true",
                    help="full acceptance parameters (roughly twenty seconds)")
 

@@ -251,7 +251,7 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
     basis = group.check_basis()
     for v in difference_set(ch):
         in_centralizer = all((v & s).bit_count() & 1 == 0 for s in swaps)
-        if in_centralizer and f2.reduce_mod(v, basis) != 0:
+        if in_centralizer and f2._reduce_mod(v, basis) != 0:
             return False
     return True
 

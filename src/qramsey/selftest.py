@@ -13,7 +13,7 @@ against exhaustive search, and theorem statements against enumeration.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -78,19 +78,20 @@ def _random_channel(rng: random.Random, n: int, max_ops: int) -> PauliChannel:
     return channel.from_noise(ops, n=n)
 
 
-def _subset_channel(vectors: tuple[int, ...], n: int) -> PauliChannel:
+def _subset_channel(vectors: Iterable[int], n: int) -> PauliChannel:
     return channel.from_noise([hermitian_rep(v, n) for v in vectors], n=n)
 
 
 def _mask_channel(mask: int, n: int) -> PauliChannel:
-    ops = [hermitian_rep(v, n) for v in range(1 << (2 * n)) if (mask >> v) & 1]
-    return channel.from_noise(ops, n=n)
+    return _subset_channel((v for v in range(1 << (2 * n)) if (mask >> v) & 1), n)
 
 
-def _small_subsets(n: int, max_size: int):
-    vectors = range(1 << (2 * n))
-    for size in range(1, max_size + 1):
-        yield from combinations(vectors, size)
+def _masks(rng: random.Random, n: int, mask_sample: int | None) -> range | list[int]:
+    """Every nonempty subset mask of the 4^n Paulis, or mask_sample of them, sorted."""
+    masks = range(1, 1 << (1 << (2 * n)))
+    if mask_sample is None:
+        return masks
+    return sorted(rng.sample(masks, min(mask_sample, len(masks))))
 
 
 def _capped(n: int) -> str:
@@ -102,15 +103,19 @@ def _capped(n: int) -> str:
     return "" if n >= 2 else f"; capped at n={n}"
 
 
-def _code_candidates(n: int) -> list[stabilizer.StabilizerGroup]:
-    """Every nontrivial code candidate: isotropic subspaces with k >= 1."""
-    groups = []
-    for d in range(0, n):
-        for basis in f2.enumerate_isotropic(n, d):
-            groups.append(
-                stabilizer.validate([hermitian_rep(v, n) for v in basis.rows], n=n)
-            )
-    return groups
+def _exhaustive_cases(n: int, max_subset_size: int):
+    """Every channel of 1 to max_subset_size n-qubit Paulis, against every
+    nontrivial code (isotropic subspaces with k >= 1)."""
+    codes = [
+        ramsey._group_from_rows(basis.rows, n)
+        for d in range(0, n)
+        for basis in f2.enumerate_isotropic(n, d)
+    ]
+    for size in range(1, max_subset_size + 1):
+        for subset in combinations(range(1 << (2 * n)), size):
+            ch = _subset_channel(subset, n)
+            for group in codes:
+                yield ch, group
 
 
 def check_pauli_algebra(pairs: int = 500, seed: int = 0, max_n: int = 3) -> CheckResult:
@@ -155,9 +160,7 @@ def check_centralizer_dimension(max_n: int = 3) -> CheckResult:
     for n in range(1, max_n + 1):
         for d in range(0, n + 1):
             for basis in f2.enumerate_isotropic(n, d):
-                group = stabilizer.validate(
-                    [hermitian_rep(v, n) for v in basis.rows], n=n
-                )
+                group = ramsey._group_from_rows(basis.rows, n)
                 total += 1
                 got = stabilizer.centralizer_image(group).dim
                 if got != n + group.k:
@@ -176,19 +179,16 @@ def check_oracle_equivalence(
 ) -> CheckResult:
     """compressed_dimension == dense Gram rank, exhaustive at n + sampled n=3."""
     failures: list[str] = []
-    candidates = _code_candidates(n)
     exhaustive = 0
-    for subset in _small_subsets(n, max_subset_size):
-        ch = _subset_channel(subset, n)
-        for group in candidates:
-            exhaustive += 1
-            fast = ramsey.compressed_dimension(ch, group)
-            dense = oracle.dense_compressed_dimension(ch, group).rank
-            if fast != dense:
-                failures.append(
-                    f"n={n} noise {[str(o) for o in ch.operators]} vs {group}: "
-                    f"{fast} != {dense}"
-                )
+    for ch, group in _exhaustive_cases(n, max_subset_size):
+        exhaustive += 1
+        fast = ramsey.compressed_dimension(ch, group)
+        dense = oracle.dense_compressed_dimension(ch, group).rank
+        if fast != dense:
+            failures.append(
+                f"n={n} noise {[str(o) for o in ch.operators]} vs {group}: "
+                f"{fast} != {dense}"
+            )
     rng = random.Random(seed)
     for _ in range(n3_cases):
         ch = _random_channel(rng, 3, 6)
@@ -216,10 +216,7 @@ def check_main_theorem(seed: int = 0, n3_cases: int = 10, n: int = 2) -> CheckRe
     """
     failures: list[str] = []
     examined = 0
-    groups = [
-        stabilizer.validate([hermitian_rep(v, n) for v in basis.rows], n=n)
-        for basis in f2.enumerate_isotropic(n, n)
-    ]
+    groups = [ramsey._group_from_rows(basis.rows, n) for basis in f2.enumerate_isotropic(n, n)]
     lagrangians = len(groups)
     rng = random.Random(seed)
     for _ in range(n3_cases):
@@ -265,9 +262,7 @@ def check_trichotomy(
     """
     failures: list[str] = []
     rng = random.Random(seed)
-    masks: list[int] = list(range(1, 1 << (1 << (2 * n))))
-    if mask_sample is not None:
-        masks = sorted(rng.sample(masks, min(mask_sample, len(masks))))
+    masks = _masks(rng, n, mask_sample)
     tags = {"Anticlique": 0, "Clique": 0, "MaximalStabilizerChannel": 0}
     reverified = 0
     for mask in masks:
@@ -312,20 +307,17 @@ def check_correctability_equivalence(
 ) -> CheckResult:
     """gottesman_correctable == is_anticlique == kl_check, exhaustively at n."""
     failures: list[str] = []
-    candidates = _code_candidates(n)
     total = 0
-    for subset in _small_subsets(n, max_subset_size):
-        ch = _subset_channel(subset, n)
-        for group in candidates:
-            total += 1
-            gottesman = ramsey.gottesman_correctable(ch, group)
-            anti = ramsey.is_anticlique(ch, group)
-            kl = oracle.kl_check(ch, group)
-            if not (gottesman == anti == kl):
-                failures.append(
-                    f"noise {[str(o) for o in ch.operators]} vs {group}: "
-                    f"gottesman={gottesman} anticlique={anti} kl={kl}"
-                )
+    for ch, group in _exhaustive_cases(n, max_subset_size):
+        total += 1
+        gottesman = ramsey.gottesman_correctable(ch, group)
+        anti = ramsey.is_anticlique(ch, group)
+        kl = oracle.kl_check(ch, group)
+        if not (gottesman == anti == kl):
+            failures.append(
+                f"noise {[str(o) for o in ch.operators]} vs {group}: "
+                f"gottesman={gottesman} anticlique={anti} kl={kl}"
+            )
     return _result(
         "correctability criteria agree",
         failures,
@@ -423,10 +415,7 @@ def check_private_codes(
     """Every sampled clique witness is a private code at the sampled pairs."""
     failures: list[str] = []
     rng = random.Random(seed)
-    masks: list[int] = list(range(1, 1 << (1 << (2 * n))))
-    if mask_sample is not None:
-        masks = sorted(rng.sample(masks, min(mask_sample, len(masks))))
-    selected = [m for m in masks if rng.random() < subsample]
+    selected = [m for m in _masks(rng, n, mask_sample) if rng.random() < subsample]
     cliques = 0
     for mask in selected:
         ch = _mask_channel(mask, n)

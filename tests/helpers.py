@@ -26,9 +26,11 @@ def clear_classify_memos() -> None:
         memo.cache_clear()
 
 
-# selftest's seeded Pauli with a random phase, and the channel of the
+# selftest's seeded Pauli with a random phase, its channel of 1 to
+# max_ops random check vectors (repeats merged), and the channel of the
 # plus-signed Paulis of some check vectors
 random_pauli = selftest._random_pauli
+random_channel = selftest._random_channel
 vector_channel = selftest._subset_channel
 
 
@@ -57,18 +59,6 @@ def low_weight_vectors(n):
 def low_weight_channel(rng, n):
     """The identity plus 2n distinct weight-1 and weight-2 Paulis."""
     return vector_channel([0, *rng.sample(low_weight_vectors(n), 2 * n)], n)
-
-
-def random_channel(rng, n, max_ops=5):
-    """The channel of 1 to max_ops - 1 random check vectors, repeats merged.
-
-    ``selftest._random_channel(rng, n, max_ops)`` draws 1 to max_ops
-    operators: the same argument, one more at the top.  The draws stay as
-    they are, since every seeded test and digest built on them would move.
-    """
-    return vector_channel(
-        [rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(1, max_ops))], n
-    )
 
 
 # selftest's seeded group generator, unsigned: it draws the same vectors

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, JSON shape, determinism, reproduction blobs."""
 
+import argparse
 import json
 from types import SimpleNamespace
 
@@ -233,7 +234,7 @@ class TestConstructMaximal:
 class TestVerify:
     def test_maximal_channel_agreement(self, capsys, maximal_file):
         code, out, _ = invoke(capsys, "verify", "--channel", maximal_file,
-                              "--stabilizer", "ZZ", "--oracle")
+                              "--stabilizer", "ZZ")
         assert code == 0
         doc = json.loads(out)
         assert doc["agreement"] is True
@@ -244,7 +245,7 @@ class TestVerify:
     def test_clique_witness_includes_privacy(self, capsys, tmp_path):
         path = write_channel(tmp_path, ["II", "XI", "ZI"])
         code, out, _ = invoke(capsys, "verify", "--channel", path,
-                              "--stabilizer", "IX", "--oracle")
+                              "--stabilizer", "IX")
         assert code == 0
         doc = json.loads(out)
         assert doc["is_clique"] is True
@@ -253,7 +254,7 @@ class TestVerify:
     def test_anticlique_witness(self, capsys, tmp_path):
         path = write_channel(tmp_path, ["XI", "ZI"])
         code, out, _ = invoke(capsys, "verify", "--channel", path,
-                              "--stabilizer", "ZI", "--oracle")
+                              "--stabilizer", "ZI")
         assert code == 0
         doc = json.loads(out)
         assert doc["is_anticlique"] is True
@@ -290,7 +291,7 @@ class TestVerify:
             lambda ch, group, **kw: SimpleNamespace(rank=99),
         )
         code, out, _ = invoke(capsys, "verify", "--channel", maximal_file,
-                              "--stabilizer", "ZZ", "--oracle")
+                              "--stabilizer", "ZZ")
         assert code == 2
         blob = json.loads(out)
         assert blob["subcommand"] == "verify"
@@ -464,3 +465,42 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             cli.main(["dim", "--stabilizer", "ZZ"])
         assert exc.value.code == 1
+
+
+class TestOptionSurface:
+    # every option each verb accepts: --seed only where a sampler reads it,
+    # --oracle only where it adds a dense check
+    EXPECTED = {
+        "dim": {"--channel", "--stabilizer", "--oracle"},
+        "classify": {"--channel", "--oracle"},
+        "search": {"--channel", "--mode", "--k"},
+        "construct-maximal": {"--n", "--generators", "-o", "--output"},
+        "verify": {"--channel", "--stabilizer", "--seed"},
+        "selftest": {"--n", "--seed", "--exhaustive"},
+    }
+
+    def test_each_verb_accepts_exactly_its_options(self):
+        (verbs,) = [
+            action for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: {s for action in parser._actions for s in action.option_strings}
+            for name, parser in verbs.choices.items()
+        }
+        assert surface == {
+            name: options | {"-h", "--help", "--text"}
+            for name, options in self.EXPECTED.items()
+        }
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["classify", "--seed", "1"], "--seed 1"),
+        (["verify", "--stabilizer", "ZZ", "--oracle"], "--oracle"),
+    ])
+    def test_removed_flags_exit_1(self, capsys, maximal_file, argv, extra):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--channel", maximal_file])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: unrecognized arguments: {extra}\n" in captured.err

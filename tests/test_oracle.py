@@ -65,7 +65,7 @@ class TestDenseCompressedDimension:
         rng = random.Random(19)
         for _ in range(50):
             n = rng.randrange(1, 4)
-            ch = random_channel(rng, n)
+            ch = random_channel(rng, n, 4)
             group = random_group(rng, n)
             assert (
                 oracle.dense_compressed_dimension(ch, group).rank
@@ -116,7 +116,7 @@ class TestDenseGraphDimension:
         rng = random.Random(23)
         for _ in range(40):
             n = rng.randrange(1, 3)
-            ch = random_channel(rng, n)
+            ch = random_channel(rng, n, 4)
             assert oracle.dense_graph_dimension(ch).rank == channel.graph_dimension(ch)
 
 
@@ -142,7 +142,7 @@ class TestKlCheck:
         rng = random.Random(31)
         for _ in range(60):
             n = rng.randrange(1, 3)
-            ch = random_channel(rng, n)
+            ch = random_channel(rng, n, 4)
             group = random_group(rng, n)
             kl = oracle.kl_check(ch, group)
             assert kl == (oracle.dense_compressed_dimension(ch, group).rank == 1)
@@ -305,7 +305,7 @@ def random_pairs(seed, count, max_n=4):
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randrange(1, max_n + 1)
-        yield random_channel(rng, n, max_ops=9), random_group(rng, n)
+        yield random_channel(rng, n, max_ops=8), random_group(rng, n)
 
 
 class TestBatchedAgainstLoops:
@@ -331,7 +331,7 @@ class TestBatchedAgainstLoops:
         rng = random.Random(73)
         for n in range(1, 5):
             for d in (n, 0):
-                ch = random_channel(rng, n, max_ops=9)
+                ch = random_channel(rng, n, max_ops=8)
                 pairs.append((ch, random_group(rng, n, d)))
         for ch, group in pairs:
             v = oracle._code_basis(group)
@@ -357,7 +357,7 @@ class TestBatchedAgainstLoops:
         rng = random.Random(61)
         for n in range(1, 5):
             for d in (n, 0):
-                ch = random_channel(rng, n, max_ops=9)
+                ch = random_channel(rng, n, max_ops=8)
                 pairs.append((ch, random_group(rng, n, d)))
         ranks = set()
         for ch, group in pairs:
@@ -389,7 +389,7 @@ class TestBatchedAgainstLoops:
             candidates = [
                 channel.maximal_stabilizer_channel(group),
                 channel.maximal_stabilizer_channel(random_group(rng, n, d=n)),
-                random_channel(rng, n),
+                random_channel(rng, n, 4),
             ]
             for ch in candidates:
                 verdicts.append(oracle.dense_maximal_check(ch, group))

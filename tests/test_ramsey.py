@@ -74,7 +74,7 @@ class TestCompressedDimension:
         rng = random.Random(3)
         for _ in range(60):
             n = rng.randrange(1, 4)
-            ch = random_channel(rng, n)
+            ch = random_channel(rng, n, 4)
             group = random_group(rng, n)
             dim = ramsey.compressed_dimension(ch, group)
             assert 1 <= dim <= min(
@@ -85,7 +85,7 @@ class TestCompressedDimension:
         rng = random.Random(5)
         for _ in range(40):
             n = rng.randrange(1, 4)
-            ch = random_channel(rng, n)
+            ch = random_channel(rng, n, 4)
             group = random_group(rng, n)
             assert (
                 ramsey.compressed_dimension(ch, group)
@@ -128,7 +128,7 @@ class TestCompressedDimension:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_definition_on_seeded_pairs(self, n):
         rng = random.Random(100 + n)
-        pairs = [(random_channel(rng, n, 12), random_group(rng, n)) for _ in range(30)]
+        pairs = [(random_channel(rng, n, 11), random_group(rng, n)) for _ in range(30)]
         # noise drawn from a few cosets of L(Z(R)), so that the checks
         # sharing a representative modulo L(Z(R)) fall in several L(R)
         # cosets
@@ -146,7 +146,7 @@ class TestCompressedDimension:
             pairs.append((vector_channel(sorted(vectors), n), group))
         # classify's witnesses, whose counts are 1 or 4^k
         for _ in range(10):
-            ch = random_channel(rng, n, 2 * n + 2)
+            ch = random_channel(rng, n, 2 * n + 1)
             pairs.append((ch, ramsey.classify(ch).witness))
         counts = []
         for ch, group in pairs:
@@ -386,7 +386,7 @@ class TestGottesmanCorrectable:
         rng = random.Random(11)
         for _ in range(80):
             n = rng.randrange(1, 3)
-            ch = random_channel(rng, n)
+            ch = random_channel(rng, n, 4)
             group = random_group(rng, n)
             assert ramsey.gottesman_correctable(ch, group) == ramsey.is_anticlique(
                 ch, group
@@ -534,7 +534,7 @@ class TestClassify:
         rng = random.Random(13)
         for _ in range(120):
             n = rng.randrange(1, 4)
-            ch = random_channel(rng, n)
+            ch = random_channel(rng, n, 4)
             result = ramsey.classify(ch)
             assert result.tag != "Inconsistent"
             if result.tag == "Anticlique":
@@ -681,7 +681,7 @@ class TestClassify:
         rng = random.Random(700 + n)
         lag = f2.reduce(random_isotropic_rows(rng, n, n), n).span()
         c = rng.randrange(1 << (2 * n))
-        channels = [random_channel(rng, n, 9) for _ in range(4)]
+        channels = [random_channel(rng, n, 8) for _ in range(4)]
         channels += [low_weight_channel(rng, n) for _ in range(4)]
         channels += [
             vector_channel([c ^ v for v in rng.sample(lag, rng.randrange(1, n + 2))], n)
@@ -715,7 +715,7 @@ class TestClassify:
             return True
 
         rng = random.Random(31)
-        channels = [random_channel(rng, 1 + c % 6, 10) for c in range(200)]
+        channels = [random_channel(rng, 1 + c % 6, 9) for c in range(200)]
         assert sum(map(from_first_pair, channels)) > 100
         # low-weight noise without the identity, so the smallest check is
         # not 0; and the scan's worst case, the x-only Lagrangian plus Z on
@@ -743,7 +743,7 @@ class TestClassify:
             for mask in rng.sample(range(1, 1 << 16), 4096)
         ]
         for n in range(3, 17):
-            channels += [random_channel(rng, n, 12) for _ in range(4)]
+            channels += [random_channel(rng, n, 11) for _ in range(4)]
             channels += [low_weight_channel(rng, n) for _ in range(4)]
             m = min(1 << (2 * n - 1), 300)
             channels += [
@@ -909,8 +909,8 @@ class TestConstructionInternals:
             for ops in combinations(paulis, size)
         ]
         cases += [(2, FULL_P2), (2, MAXIMAL_X)]
-        cases += [(2, random_channel(rng, 2, 8)) for _ in range(40)]
-        cases += [(3, random_channel(rng, 3, 8)) for _ in range(5)]
+        cases += [(2, random_channel(rng, 2, 7)) for _ in range(40)]
+        cases += [(3, random_channel(rng, 3, 7)) for _ in range(5)]
         monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
         built = _built_levels(range(1, 4))
         expected = {}
@@ -1060,7 +1060,7 @@ class TestConstructionInternals:
             (n, ch)
             for n in (2, 3, 4)
             for ch in (
-                *(random_channel(rng, n, m) for m in (3, 6, 12, 24)),
+                *(random_channel(rng, n, m) for m in (2, 5, 11, 23)),
                 low_weight_channel(rng, n),
             )
         ]
@@ -1097,7 +1097,7 @@ class TestConstructionInternals:
         monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
         n = 4
         rng = random.Random(83)
-        chs = [random_channel(rng, n, m) for m in (3, 9, 17)]
+        chs = [random_channel(rng, n, m) for m in (2, 8, 16)]
         chs.append(channel.maximal_stabilizer_channel(random_group(rng, n, n)))
         shallow = ramsey.search(chs[0], "both", [3]).to_json_dict()
         held = [ramsey._candidates(n, d).reps is not None for d in range(2)]
