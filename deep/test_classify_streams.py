@@ -1,8 +1,9 @@
 """classify past tier-1's sizes: cold classify of low-weight channels to
-n = 128, classify's memos against clearing them before every call over
-all 65,535 n=2 channels and a low-weight stream, the normalized clique
-key against the reference candidate at n = 16..128, and clique verdicts,
-counted by classify on three operators, recounted on the whole channel."""
+n = 512 (timings printed, not bounded), classify's memos against
+clearing them before every call over all 65,535 n=2 channels and a
+low-weight stream, the normalized clique key against the reference
+candidate at n = 16..128, and clique verdicts, counted by classify on
+three operators, recounted on the whole channel."""
 
 import json
 import random
@@ -36,7 +37,7 @@ def test_cold_classify_at_large_n(tmp_path):
     # each channel is read back from its JSON document, and classify runs
     # with its memos cleared, the only state it keeps between calls
     rng = random.Random(5)
-    for n in (12, 16, 64, 128):
+    for n in (12, 16, 64, 128, 256, 512):
         path = tmp_path / f"lc{n}.json"
         path.write_text(json.dumps(channel.to_document(low_weight_channel(rng, n))))
         start = time.perf_counter()

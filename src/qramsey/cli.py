@@ -352,7 +352,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, default=None, help="cap the qubit count")
     p.add_argument("--seed", type=int, default=0, help="seed for the sampled criteria")
     p.add_argument("--exhaustive", action="store_true",
-                   help="full acceptance parameters (roughly twenty seconds)")
+                   help="full acceptance parameters (about six seconds)")
 
     return parser
 

@@ -20,6 +20,12 @@ Lowest-bit row reduction is written out once, in :func:`_rref`, which
 :func:`_reduce_tracked` runs on inputs carrying their index bit,
 ``v_i | 1 << (2n + i)``: each row holds above bit 2n the inputs whose XOR
 is its part below, 0 once per dependent input.  No F2Basis holds such a row.
+:func:`_rref` keeps the OR of its rows' pivots and reduces each input by
+the rows whose pivots the input holds, one row operation per held pivot,
+rather than testing every row: no row holds another row's pivot, so
+XORing in a row clears its pivot and sets no other.  Only the clearing
+of a new pivot from the rows kept so far (back-substitution) passes over
+all of them.  :func:`echelon` reduces by highest bits the same way.
 :func:`enumerate_isotropic` alone works on numpy arrays: it builds each
 level of its orderly generation as one uint64 array in chunked passes,
 and yields plain-int bases from it.
@@ -129,18 +135,23 @@ def _reduce(vectors: Iterable[int], n: int) -> F2Basis:
 
 def _rref(vectors: Iterable[int]) -> list[int]:
     """Fully reduced rows spanning ``vectors``, ascending in their pivots."""
-    # pivot mask (lowest set bit, held by no other row) -> row: any visit order
+    # pivot mask (lowest set bit, held by no other row) -> row; ``pivots``
+    # is their OR.  Only the pivots v holds are visited, in any order: the
+    # row of one clears it and sets no other pivot
     rows: dict[int, int] = {}
+    pivots = 0
     for v in vectors:
-        for m, r in rows.items():
-            if v & m:
-                v ^= r
+        held = v & pivots
+        while held:
+            v ^= rows[held & -held]
+            held &= held - 1
         if v:
             m = v & -v
             for k, r in rows.items():
                 if r & m:
                     rows[k] = r ^ v
             rows[m] = v
+            pivots |= m
     return [rows[m] for m in sorted(rows)]
 
 
@@ -192,18 +203,30 @@ def echelon(rows: Iterable[int]) -> tuple[int, ...]:
     selected by the binary digits of c is increasing, so the span in
     ascending order is the image of 0, 1, 2, ..., and the smallest vector
     of the span outside a subspace of it is the first b_t outside that
-    subspace.  Cost O(m^2) row operations for m rows.
+    subspace.
+
+    Each row is reduced by the rows whose highest bits it holds, and by no
+    other: a row clears its own highest bit and sets no other row's.  So
+    a row costs one row operation per highest bit it holds, plus one pass
+    over the rows kept so far, to clear its highest bit from them: O(m^2)
+    for m rows in all, and less the sparser they are.
     """
-    out: list[int] = []
+    # highest bit -> row; ``tops`` is their OR
+    out: dict[int, int] = {}
+    tops = 0
     for v in rows:
-        for r in out:
-            if (v >> (r.bit_length() - 1)) & 1:
-                v ^= r
+        held = v & tops
+        while held:
+            v ^= out[held & -held]
+            held &= held - 1
         if v:
             top = 1 << (v.bit_length() - 1)
-            out = [r ^ v if r & top else r for r in out]
-            out.append(v)
-    return tuple(sorted(out))
+            for k, r in out.items():
+                if r & top:
+                    out[k] = r ^ v
+            out[top] = v
+            tops |= top
+    return tuple(sorted(out.values()))
 
 
 def ascending_span(rows: Iterable[int]) -> Iterator[int]:

@@ -138,20 +138,33 @@ _AFFINE_MIN = 16
 @lru_cache(maxsize=256)
 def _count_table(
     group: StabilizerGroup,
-) -> tuple[tuple[tuple[int, int, int], ...], f2.F2Basis]:
-    """The verifying count's rows for ``group``, and the basis of L(R).
+) -> tuple[dict[int, tuple[int, int]], int, f2.F2Basis]:
+    """The verifying count's rows for ``group``, their pivots, and L(R).
 
-    One row (pivot, r, image) per row r of L(Z(R))'s canonical basis, in
-    its order: r's pivot mask, r, and r's representative modulo L(R).  A
-    pure function of the frozen group, so the last 256 groups' tables are
-    kept (``_count_table.cache_clear()`` drops them); equal groups share
-    one entry.
+    The rows map each pivot mask of L(Z(R))'s canonical basis to its row r
+    and r's representative modulo L(R); the pivots are the OR of those
+    masks.  An image is r reduced by the rows of L(R)'s canonical basis
+    whose pivots r holds, and by no other, as in ``compressed_dimension``.
+    A pure function of the frozen group, so the last 256 groups' tables
+    are kept (``_count_table.cache_clear()`` drops them); equal groups
+    share one entry.
     """
     basis = group.check_basis()
-    rows = tuple(
-        (r & -r, r, f2._reduce_mod(r, basis)) for r in centralizer_image(group).rows
-    )
-    return rows, basis
+    stab = {r & -r: r for r in basis.rows}
+    # the pivots are distinct bits, so their sum is their OR
+    stab_pivots = sum(stab)
+    rows: dict[int, tuple[int, int]] = {}
+    pivots = 0
+    for r in centralizer_image(group).rows:
+        image = r
+        held = r & stab_pivots
+        while held:
+            image ^= stab[held & -held]
+            held &= held - 1
+        pivot = r & -r
+        rows[pivot] = (r, image)
+        pivots |= pivot
+    return rows, pivots, basis
 
 
 def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
@@ -172,10 +185,15 @@ def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
     representatives of the rows c picked; ``_count_table`` holds each
     row's beside it.  rep_c differs from c's own L(R) representative by
     that of c's key, one constant per class, which no XOR within a class
-    sees.  One pass over the n + k rows gives both the key and rep_c; the
-    reps are grouped by key, and the XORs within each group are the hit
-    cosets.  A group holds at most 4^k distinct values, one per coset of
-    L(R) in L(Z(R)), so the cost is O(m (n + k) + m min(m, 4^k)).
+    sees.  One walk gives both the key and rep_c.  It visits only the
+    pivots of L(Z(R)) that c holds, in any order, since XORing in a row
+    clears that row's pivot and sets no other: popcount(c & pivots) row
+    operations, where testing each of the n + k rows would take n + k.
+    The reps are grouped by key, and the XORs within each group are the
+    hit cosets.  A group holds at most 4^k distinct values, one per coset
+    of L(R) in L(Z(R)), so the cost is O(m (n + k) + m min(m, 4^k)) at
+    worst, and O(m w + m min(m, 4^k)) when no check holds more than w
+    pivots of L(Z(R)).
 
     A group S that is an affine subspace s0 + V is not paired out: its
     XORs are exactly V = S ^ s0.  S is one when |S| is a power of two and
@@ -195,15 +213,18 @@ def compressed_dimension(ch: PauliChannel, group: StabilizerGroup) -> int:
     """
     if ch.n != group.n:
         raise ValueError(f"channel acts on {ch.n} qubits, group on {group.n}")
-    table, basis = _count_table(group)
+    n = ch.n
+    rows, pivots, basis = _count_table(group)
     classes: dict[int, set[int]] = {}
     for op, _ in ch.noise:
-        c = op.check_vector()
+        c = op.x | op.z << n
         rep = 0
-        for pivot, r, image in table:
-            if c & pivot:
-                c ^= r
-                rep ^= image
+        held = c & pivots
+        while held:
+            r, image = rows[held & -held]
+            c ^= r
+            rep ^= image
+            held &= held - 1
         classes.setdefault(c, set()).add(rep)
     # 0 = a ^ a, and a ^ b = b ^ a: each unordered pair is XORed once.
     # The XORs are reduced already, so they are clear of L(R)'s pivots and
@@ -628,7 +649,8 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     """Trichotomy: maximal stabilizer channel, anticlique, or clique.
 
     One pass follows the constructive proof.  Every check vector is
-    shifted by the smallest one, c0: c -> c ^ c0.  The difference set
+    shifted by the smallest one, c0: c -> c ^ c0, a pass skipped when c0
+    is 0, as it is whenever the identity is noise.  The difference set
     W is unchanged, and the shifted checks contain 0, so each of them is
     itself a difference.  If two shifted checks anticommute, the first
     such pair lies in W and the clique construction applies.  If they all
@@ -643,25 +665,26 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
     channel's noise, since it would contradict the theorem.  An anticlique
     candidate is counted against the whole channel.  A clique candidate
     is counted against the sub-channel of the operators whose checks are
-    c0, c0 ^ h and c0 ^ g, for the pair (h, g): three walks of the
-    count's table, whatever the number of operators.  W(sub) = {0, h, g,
-    h ^ g} lies in W, the count is monotone in W, and it never exceeds
-    4^k, so 4^k on the sub-channel is 4^k on the channel.  Each candidate
-    builder keeps its last 256 candidates (a bounded ``lru_cache``, keyed
-    by (L, w, n) or by ``_clique_key(h, g >> n, n)``: the clique
-    construction reads only g's z half, and keys that build the same
-    candidate are mapped to one), and the verifying count keeps its last
-    256 groups' tables; the count itself runs on every call, so a kept
-    candidate is verified against each channel it is returned for.  Every
-    step is polynomial in n and the number of noise operators, so
-    ``limit`` (a qubit cap that raises CapacityError) is off by default.
+    c0, c0 ^ h and c0 ^ g, for the pair (h, g), found by their positions
+    among the checks: three walks of the count's table, whatever the
+    number of operators.  W(sub) = {0, h, g, h ^ g} lies in W, the count
+    is monotone in W, and it never exceeds 4^k, so 4^k on the sub-channel
+    is 4^k on the channel.  Each candidate builder keeps its last 256
+    candidates (a bounded ``lru_cache``, keyed by (L, w, n) or by
+    ``_clique_key(h, g >> n, n)``: the clique construction reads only g's
+    z half, and keys that build the same candidate are mapped to one),
+    and the verifying count keeps its last 256 groups' tables; the count
+    itself runs on every call, so a kept candidate is verified against
+    each channel it is returned for.  Every step is polynomial in n and
+    the number of noise operators, so ``limit`` (a qubit cap that raises
+    CapacityError) is off by default.
     """
     n = ch.n
     if limit is not None and n > limit:
         raise CapacityError(f"classification limited to {limit} qubits, got {n}")
-    ops = {op.check_vector(): op for op, _ in ch.noise}
-    c0 = min(ops)
-    shifted = sorted(c ^ c0 for c in ops)
+    checks = [op.x | op.z << n for op, _ in ch.noise]
+    c0 = min(checks)
+    shifted = sorted(c ^ c0 for c in checks) if c0 else sorted(checks)
     pair = _first_anticommuting_pair(shifted, n)
     if pair is None:
         # L walked in ascending order without being built: w is found in
@@ -684,8 +707,14 @@ def classify(ch: PauliChannel, limit: int | None = None) -> ClassificationResult
         candidate = _noncommuting_clique_candidate(*_clique_key(h, g >> n, n))
         # the operators of the checks c0, c0 ^ h and c0 ^ g, distinct as
         # h, g and h ^ g are nonzero: W(sub) = {0, h, g, h ^ g}
+        noise, at = ch.noise, checks.index
         sub = PauliChannel(
-            n, ((ops[c0], 1 / 3), (ops[c0 ^ h], 1 / 3), (ops[c0 ^ g], 1 / 3))
+            n,
+            (
+                (noise[at(c0)][0], 1 / 3),
+                (noise[at(c0 ^ h)][0], 1 / 3),
+                (noise[at(c0 ^ g)][0], 1 / 3),
+            ),
         )
         if is_clique(sub, candidate):
             return ClassificationResult(

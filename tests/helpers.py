@@ -7,6 +7,7 @@ The reference routes they are checked against are in ``reference``.
 
 import functools
 import itertools
+import operator
 
 from qramsey import channel, f2, ramsey, selftest
 from qramsey.pauli import parse
@@ -54,6 +55,15 @@ def low_weight_vectors(n):
                     v |= (x << q) | (z << (q + n))
                 out.append(v)
     return tuple(out)
+
+
+def sparse_vectors(rng, n):
+    """2n vectors of F_2^{2n}, each of one to three random bits."""
+    width = 2 * n
+    return [
+        functools.reduce(operator.xor, (1 << b for b in rng.sample(range(width), w)), 0)
+        for w in (rng.randrange(1, min(3, width) + 1) for _ in range(width))
+    ]
 
 
 def low_weight_channel(rng, n):

@@ -44,6 +44,20 @@ def reduce_mod(v: int, basis: f2.F2Basis) -> int:
     return v
 
 
+def echelon(rows) -> tuple[int, ...]:
+    """f2.echelon: each row tested against the highest bit of every kept row, one at a time."""
+    out: list[int] = []
+    for v in rows:
+        for r in out:
+            if (v >> (r.bit_length() - 1)) & 1:
+                v ^= r
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            out = [r ^ v if r & top else r for r in out]
+            out.append(v)
+    return tuple(sorted(out))
+
+
 def twisted_kernel(generators, n: int) -> f2.F2Basis:
     """f2.twisted_kernel: the v with twisted dot 0 against every generator, by free columns."""
     constraints = reduce((f2.swap_halves(g, n) for g in generators), n)
@@ -253,6 +267,22 @@ def clique_candidate(h, g, n):
         for v in f2.complete_lagrangian((h,), n)[1:]
     )
     return ramsey._group_from_rows(rows, n)
+
+
+def count_table(group):
+    """ramsey._count_table: each row of L(Z(R)) by its pivot, beside the row reduced modulo L(R).
+
+    Returns (rows, pivots, basis): the map pivot -> (row, image), the OR
+    of the pivots, and L(R)'s canonical basis, from the per-step kernel
+    and reduction above.
+    """
+    basis = reduce([g.check_vector() for g in group.generators], group.n)
+    centralizer = twisted_kernel([g.check_vector() for g in group.generators], group.n)
+    rows = {r & -r: (r, reduce_mod(r, basis)) for r in centralizer.rows}
+    pivots = 0
+    for p in rows:
+        pivots |= p
+    return rows, pivots, basis
 
 
 def compressed_dimension(ch, group) -> int:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qramsey import channel, cli, ramsey, selftest
+from qramsey import channel, cli, oracle, ramsey, selftest
 from qramsey.pauli import parse
 
 
@@ -250,6 +250,25 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["is_clique"] is True
         assert doc["privacy"] == {"samples": 100, "all_pairs_overlap": True}
+
+    @pytest.mark.parametrize("flags, seed", [((), 0), (("--seed", "7"), 7)])
+    def test_privacy_sampling_seed(self, capsys, tmp_path, monkeypatch, flags, seed):
+        # the sampled pairs overlap under any seed, so the report cannot
+        # show which seed drew them: the oracle call is watched instead
+        path = write_channel(tmp_path, ["II", "XI", "ZI"])
+        seeds = []
+        real = oracle.private_witness_check
+
+        def watched(*args, **kwargs):
+            seeds.append(kwargs.get("seed"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "private_witness_check", watched)
+        code, out, _ = invoke(capsys, "verify", "--channel", path,
+                              "--stabilizer", "IX", *flags)
+        assert code == 0
+        assert json.loads(out)["privacy"]["all_pairs_overlap"] is True
+        assert seeds == [seed]
 
     def test_anticlique_witness(self, capsys, tmp_path):
         path = write_channel(tmp_path, ["XI", "ZI"])

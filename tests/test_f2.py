@@ -18,6 +18,7 @@ from helpers import (
     low_weight_channel,
     one_row_starts,
     random_isotropic_rows,
+    sparse_vectors,
 )
 
 
@@ -631,6 +632,31 @@ class TestPinnedToPerStepCode:
             assert f2.twisted_kernel(gens, n) == reference.twisted_kernel(gens, n)
             for v in [*vecs, rng.randrange(1 << (2 * n))]:
                 assert f2.reduce_mod(v, basis) == reference.reduce_mod(v, basis)
+
+    def test_reduce_and_echelon_on_dense_and_sparse_rows(self):
+        # the held-pivot reductions of _rref and echelon against the
+        # row-at-a-time forms: dense random rows, sparse rows of one to
+        # three bits, unit rows in shuffled order (full rank, each row
+        # holding no pivot yet), and half the unit rows, then the all-ones
+        # row, which holds every pivot so far, and its sums with dense rows
+        rng = random.Random(71)
+        for n in range(1, 9):
+            width = 2 * n
+            units = [1 << b for b in range(width)]
+            for _ in range(20):
+                dense = _random_vectors(rng, n)
+                sparse = sparse_vectors(rng, n)
+                shuffled = rng.sample(units, width)
+                ones = (1 << width) - 1
+                piled = [*rng.sample(units, n), ones, *(ones ^ v for v in dense)]
+                for vecs in (dense, sparse, shuffled, piled, dense + sparse):
+                    assert f2.reduce(vecs, n) == reference.reduce(vecs, n), (n, vecs)
+                    assert f2.echelon(vecs) == reference.echelon(vecs), (n, vecs)
+                    tracked = f2._reduce_tracked(vecs, n)
+                    for row, names in tracked:
+                        picked = (v for i, v in enumerate(vecs) if names >> i & 1)
+                        assert functools.reduce(xor, picked, 0) == row, (n, vecs)
+                    assert tuple(r for r, _ in tracked if r) == reference.reduce(vecs, n).rows
 
     def test_classify_json_matches_per_step_completion(self, monkeypatch):
         rng = random.Random(67)

@@ -27,6 +27,7 @@ from helpers import (
     random_channel,
     random_group,
     random_isotropic_rows,
+    sparse_vectors,
     vector_channel,
     x_only_pairs,
 )
@@ -240,15 +241,19 @@ class TestCompressedDimension:
         """Spies on the reductions, the pairs XORed and the difference set.
 
         compressed_dimension reduces a check by one walk of its group's
-        table (``ramsey._count_table``), so the spy hands it tables whose
-        walks it counts.  ``f2.reduce_mod`` checks its vector and reduces
-        it with ``f2._reduce_mod``; each of those reductions counts once,
-        made through either, and a public call counts even if it stops
-        running the private kernel.  The reductions that build a table
-        are made once per group, not per check, and are not counted.
-        Pairs are the ones drawn from ``ramsey.combinations``.
+        table (``ramsey._count_table``): it reads the pivot mask once, as
+        ``c & pivots``, then looks up the row of each pivot held.  The spy
+        hands it tables whose pivot mask counts its reads, one reduction
+        per walk, and whose rows count their lookups: ``walks`` holds
+        [c & pivots, rows looked up] per walk.  ``f2.reduce_mod`` checks
+        its vector and reduces it with ``f2._reduce_mod``; each of those
+        reductions counts once, made through either, and a public call
+        counts even if it stops running the private kernel.  The
+        reductions that build a table are made once per group, not per
+        check, and are not counted.  Pairs are the ones drawn from
+        ``ramsey.combinations``.
         """
-        calls = {"reductions": 0, "pairs": 0, "difference_set": 0}
+        calls = {"reductions": 0, "pairs": 0, "difference_set": 0, "walks": []}
         uncounted = [False]  # inside a public reduction or a table build
         real_reduce_mod = f2.reduce_mod
         real_private = f2._reduce_mod
@@ -256,18 +261,27 @@ class TestCompressedDimension:
         real_combinations = ramsey.combinations
         real_difference_set = channel.difference_set
 
-        class CountedRows(tuple):
-            def __iter__(self):
+        class CountedPivots(int):
+            def __rand__(self, c):
                 calls["reductions"] += 1
-                return super().__iter__()
+                held = int.__and__(c, self)
+                calls["walks"].append([held, 0])
+                return held
+
+            __and__ = __rand__
+
+        class CountedRows(dict):
+            def __getitem__(self, pivot):
+                calls["walks"][-1][1] += 1
+                return super().__getitem__(pivot)
 
         def counting_table(group):
             uncounted[0] = True
             try:
-                rows, basis = real_table(group)
+                rows, pivots, basis = real_table(group)
             finally:
                 uncounted[0] = False
-            return CountedRows(rows), basis
+            return CountedRows(rows), CountedPivots(pivots), basis
 
         def counting_reduce_mod(v, basis):
             calls["reductions"] += 1
@@ -336,6 +350,60 @@ class TestCompressedDimension:
                 assert calls["pairs"] > 0
             else:
                 assert calls["reductions"] + calls["pairs"] <= m + 2**k, k
+
+
+class TestHeldPivotWalk:
+    """The count's table, and its walk that visits only the pivots a check holds."""
+
+    @staticmethod
+    def _cases():
+        """(channel, group) at n = 1..8 with k = 0, k = n and one k between.
+
+        Per group: dense random checks, sparse checks of one to three bits,
+        and checks that hold every pivot of L(Z(R)), the identity always
+        among them.
+        """
+        rng = random.Random(31)
+        cases = []
+        for n in range(1, 9):
+            for k in sorted({0, n, rng.randrange(n + 1)}):
+                for _ in range(3):
+                    group = random_group(rng, n, n - k)
+                    _, pivots, _ = reference.count_table(group)
+                    dense = [
+                        rng.randrange(1 << (2 * n)) for _ in range(rng.randrange(1, 2 * n + 3))
+                    ]
+                    sparse = sparse_vectors(rng, n)
+                    full = [pivots | rng.randrange(1 << (2 * n)) for _ in range(3)]
+                    for checks in (dense, sparse, [pivots, *full], dense + sparse + full):
+                        cases.append((vector_channel([0, *checks], n), group))
+        return cases
+
+    def test_table_matches_definition(self):
+        build = ramsey._count_table.__wrapped__
+        for _, group in self._cases():
+            rows, pivots, basis = build(group)
+            expected_rows, expected_pivots, expected_basis = reference.count_table(group)
+            assert rows == expected_rows, str(group)
+            assert pivots == expected_pivots and basis == expected_basis, str(group)
+            assert pivots.bit_count() == group.n + group.k
+
+    def test_count_matches_definition(self):
+        for ch, group in self._cases():
+            assert ramsey.compressed_dimension(ch, group) == reference.compressed_dimension(
+                ch, group
+            ), ([str(op) for op in ch.operators], str(group))
+
+    def test_each_check_takes_one_row_per_held_pivot(self, monkeypatch):
+        # one walk per check, in the channel's order, each looking up the
+        # row of every pivot of L(Z(R)) that the check holds, once
+        calls = TestCompressedDimension._count_work(monkeypatch)
+        for ch, group in self._cases():
+            _, pivots, _ = reference.count_table(group)
+            calls["walks"] = []
+            ramsey.compressed_dimension(ch, group)
+            held = [op.check_vector() & pivots for op in ch.operators]
+            assert calls["walks"] == [[h, h.bit_count()] for h in held], str(group)
 
 
 class TestCliqueAnticliquePredicates:
