@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from qramsey import channel, ramsey, selftest, stabilizer
+from qramsey.pauli import hermitian_rep
 
 import reference
 from helpers import make_channel
@@ -88,12 +89,11 @@ def first_16_operator_search_at_n5():
     # a seeded sample of every level, recorded or not, against the
     # reduction route on the same rows
     rng = random.Random(5)
-    table = ramsey._plus_signed(n)
     checked = recorded = 0
     for d in range(n):
         cands = ramsey._candidates(n, d)
         for i in sorted(rng.sample(range(len(cands)), min(300, len(cands)))):
-            ops = [table[v] for v in cands.rows[i].tolist()]
+            ops = [hermitian_rep(v, n) for v in cands.rows[i].tolist()]
             want = reference.validate(ops, n=n)
             assert stabilizer.validate(ops, n=n).generators == want.generators, (d, i)
             records = cands.records[i][cands.built[i]] if len(cands.built) else ()

@@ -9,11 +9,10 @@ import hashlib
 import io
 import json
 import time
-from pathlib import Path
 
 from qramsey import cli
 
-GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden_digests.json"
+from golden import GOLDEN
 
 
 def test_exhaustive_selftest_digest_is_unchanged():

@@ -312,6 +312,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0 if doc["passed"] else 2
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take no negative seed
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qramsey", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -346,11 +353,11 @@ def _build_parser() -> _Parser:
     p = add("verify", _cmd_verify, "run every predicate through both routes")
     p.add_argument("--channel", required=True, metavar="FILE")
     p.add_argument("--stabilizer", required=True, metavar="GENS")
-    p.add_argument("--seed", type=int, default=0, help="seed for privacy sampling")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for privacy sampling")
 
     p = add("selftest", _cmd_selftest, "run the nine-part verification battery")
     p.add_argument("--n", type=int, default=None, help="cap the qubit count")
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampled criteria")
+    p.add_argument("--seed", type=_seed, default=0, help="seed for the sampled criteria")
     p.add_argument("--exhaustive", action="store_true",
                    help="full acceptance parameters (about six seconds)")
 

@@ -11,7 +11,7 @@ v = c|d, vanishes exactly when the Pauli operators with check vectors u
 and v commute.  The routines on single vectors and bases are pure and
 allocation-light, since they sit on every classify and verify call.
 Each public function checks the vectors it is given where they enter;
-the private :func:`_reduce` and :func:`_reduce_mod` skip that check, for
+the private :func:`_rref` and :func:`_reduce_mod` skip that check, for
 vectors a caller has checked already or built in range.  A kernel is
 read straight off one reduction of its constraints, in whichever echelon
 form its caller needs (see :func:`_kernel_rows`): the twisted kernel at
@@ -45,7 +45,6 @@ __all__ = [
     "format_vector",
     "reduce",
     "in_span",
-    "reduce_mod",
     "echelon",
     "ascending_span",
     "twisted_kernel",
@@ -125,11 +124,6 @@ def reduce(vectors: Iterable[int], n: int) -> F2Basis:
     vectors = list(vectors)
     for v in vectors:
         _check_vector(v, n)
-    return _reduce(vectors, n)
-
-
-def _reduce(vectors: Iterable[int], n: int) -> F2Basis:
-    """:func:`reduce` for vectors already known to lie in F_2^{2n}."""
     return F2Basis(n, tuple(_rref(vectors)))
 
 
@@ -168,18 +162,13 @@ def _reduce_tracked(vectors: Sequence[int], n: int) -> list[tuple[int, int]]:
     return [(r & coords, r >> width) for r in rows]
 
 
-def reduce_mod(v: int, basis: F2Basis) -> int:
+def _reduce_mod(v: int, basis: F2Basis) -> int:
     """Canonical coset representative of ``v + span(basis)``.
 
     Requires a canonical basis (reduce() output): the pivot coordinates of
-    v are cleared, which picks one representative per coset.
+    v are cleared, which picks one representative per coset.  ``v`` is not
+    range-checked; callers pass vectors known to lie in F_2^{2n}.
     """
-    _check_vector(v, basis.n)
-    return _reduce_mod(v, basis)
-
-
-def _reduce_mod(v: int, basis: F2Basis) -> int:
-    """:func:`reduce_mod` for a vector already known to lie in F_2^{2n}."""
     for r in basis.rows:
         if v & r & -r:
             v ^= r
@@ -298,7 +287,7 @@ def twisted_kernel(generators: Sequence[int], n: int) -> F2Basis:
 def coset_count(hits: Iterable[int], sub: F2Basis) -> int:
     """Number of distinct cosets of span(sub) represented among ``hits``.
 
-    ``sub`` must be canonical (reduce() output), so that :func:`reduce_mod`
+    ``sub`` must be canonical (reduce() output), so that :func:`_reduce_mod`
     picks one representative per coset.  The hits are range-checked once,
     by their least and greatest, and a hit is reduced only if it holds a
     pivot of ``sub``: one clear of every pivot is its own representative.
@@ -319,12 +308,14 @@ def coset_count(hits: Iterable[int], sub: F2Basis) -> int:
     return len(hits)
 
 
-# elements per chunk of enumerate_isotropic's level pass; bounds its temporaries
+# elements per chunk of a pass over a level's array, here and in ramsey's
+# quotient walk; bounds the pass's temporaries
 _CHUNK_ELEMENTS = 1 << 16
 
 
 def _lowest_bits(a: np.ndarray) -> np.ndarray:
-    return a & (~a + np.uint64(1))
+    """The lowest set bit of each entry of an unsigned array, in its dtype."""
+    return a & (~a + a.dtype.type(1))
 
 
 def _isotropic_children(parents: np.ndarray, n: int) -> np.ndarray:
@@ -387,8 +378,7 @@ def enumerate_isotropic(n: int, d: int) -> Iterator[F2Basis]:
     children of a parent follow the parent's order and, within one
     parent, v's order; that is the order of the sorted row tuples.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
+    _check_qubits(n)
     if d < 0 or d > n:
         raise ValueError(f"isotropic dimension must be in 0..{n}, got {d}")
     level = np.zeros((1, 0), dtype=np.uint64)
@@ -507,6 +497,6 @@ def symplectic_partners(rows: Sequence[int], n: int) -> tuple[int, ...]:
                 )
         if any((v & su).bit_count() & 1 for v in partners[i + 1 :]):
             raise RuntimeError("partner construction left an anticommuting pair")
-    if _reduce((*rows, *partners), n).dim != 2 * n:
+    if len(_rref((*rows, *partners))) != 2 * n:
         raise RuntimeError("partner construction did not complete a basis")
     return tuple(partners)

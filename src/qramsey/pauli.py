@@ -23,8 +23,11 @@ against dense matrix products before anything else in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+
+from . import f2
 
 __all__ = [
     "PauliOperator",
@@ -147,16 +150,19 @@ def identity(n: int) -> PauliOperator:
     return PauliOperator(n, 0, 0, 0)
 
 
+@lru_cache(maxsize=1 << 10, typed=True)
 def hermitian_rep(v: int, n: int) -> PauliOperator:
     """The plus-signed Hermitian Pauli with check vector ``v``.
 
     This is the operator whose string form carries no sign prefix; its
     phase exponent equals the number of Y letters mod 4.
+
+    The last 4^5 = 1,024 results are kept, every operator at the largest
+    n that ``ramsey.search`` reaches, so the groups it builds share one
+    operator per check vector.  The memo is typed: an operator built from
+    a numpy integer is never returned for a plain int.
     """
-    if n < 1:
-        raise ValueError(f"qubit count must be positive, got {n}")
-    if v < 0 or v >> (2 * n):
-        raise ValueError(f"vector {v:#x} does not fit in F_2^{2 * n}")
+    f2._check_vector(v, n)
     x = v & ((1 << n) - 1)
     z = v >> n
     return PauliOperator(n, (x & z).bit_count() % 4, x, z)

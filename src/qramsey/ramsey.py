@@ -42,6 +42,7 @@ on a new one.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import f2
 from .channel import PauliChannel, difference_set
-from .pauli import CapacityError, PauliOperator, hermitian_rep
+from .pauli import CapacityError, hermitian_rep
 from .stabilizer import StabilizerGroup, centralizer_image, validate
 
 __all__ = [
@@ -296,19 +297,16 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
 # a search marks W in one boolean row of width 4^n and walks down the
 # levels, each candidate's count being its row's sum.  The two gathers'
 # flat positions in the parent level's rows ("gather") depend only on
-# (n, d), so each level computes them once, as it is built.  A witness
-# record is fixed by (n, d, candidate, kind), so each candidate keeps the
+# (n, d), so each level computes them once, as it is built, in chunks of
+# f2._CHUNK_ELEMENTS elements, as is its walk step.  A witness record is
+# fixed by (n, d, candidate, kind), so each candidate keeps the
 # SearchWitness built on its first hit as each kind, and later searches
 # gather them with one fancy index.  A candidate's two records share one
-# stabilizer group, validated once per process from the plus-signed
-# operators of its array row.  Those come from one table per n, holding
-# hermitian_rep(v, n) at index v, so every group of a process shares
-# them.  The rows are canonical bases already, so validate checks their
-# operators and sorts them, but reduces nothing.
-
-# elements per chunk of a level's build and of its walk step; bounds their
-# temporaries
-_LEVEL_CHUNK = 1 << 16
+# group, built once per process from its array row by _group_from_rows,
+# as classify builds its witnesses.  hermitian_rep's memo holds all 4^n
+# operators at every n that search allows, so the groups share them.  The
+# rows are canonical bases already, so validate checks their operators
+# and sorts them, but reduces nothing.
 
 # record columns of _Candidates, indexed by kind
 _KINDS = ("anticlique", "clique")
@@ -338,14 +336,13 @@ class _Candidates:
             self.built = np.zeros((len(self), 2), dtype=bool)
         missing = ~self.built[hits, kinds]
         new = hits[missing]
-        ops = _plus_signed(self.n)
         for i, kind, row in zip(
             new.tolist(), kinds[missing].tolist(), self.rows[new].tolist()
         ):
             if self.built[i, 1 - kind]:
                 group = self.records[i, 1 - kind].group
             else:
-                group = validate([ops[v] for v in row], n=self.n)
+                group = _group_from_rows(row, self.n)
             dim_pgp = 1 << (2 * group.k) if kind else 1
             self.records[i, kind] = SearchWitness(group.k, _KINDS[kind], group, dim_pgp)
             self.built[i, kind] = True
@@ -353,20 +350,6 @@ class _Candidates:
 
 
 _SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
-
-# the table of _plus_signed per n
-_PLUS_SIGNED: dict[int, tuple[PauliOperator, ...]] = {}
-
-
-def _plus_signed(n: int) -> tuple[PauliOperator, ...]:
-    """``hermitian_rep(v, n)`` at index v, for every v in F_2^{2n}.
-
-    Built once per n on first use: 4^n operators, which search's qubit
-    limit bounds.
-    """
-    if n not in _PLUS_SIGNED:
-        _PLUS_SIGNED[n] = tuple(hermitian_rep(v, n) for v in range(1 << (2 * n)))
-    return _PLUS_SIGNED[n]
 
 
 def _packed(rows: np.ndarray, n: int) -> np.ndarray:
@@ -414,8 +397,8 @@ def _candidates(n: int, d: int) -> _Candidates:
         gather = np.empty((2, count, width // 4), dtype=np.uint32)
         v = rows[:, -1]
         swapped = f2.swap_halves(v, n)
-        pivot = v & (~v + dtype.type(1))
-        step = max(1, _LEVEL_CHUNK // width)
+        pivot = f2._lowest_bits(v)
+        step = max(1, f2._CHUNK_ELEMENTS // width)
         for lo in range(0, count, step):
             part = slice(lo, lo + step)
             x = up.reps[parents[part]]
@@ -458,7 +441,7 @@ def _coset_counts(diffs: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
             gather = _candidates(n, d).gather
             flat = hit.ravel()
             hit = np.empty(gather.shape[1:], dtype=bool)
-            step = max(1, _LEVEL_CHUNK // hit.shape[1])
+            step = max(1, f2._CHUNK_ELEMENTS // hit.shape[1])
             for lo in range(0, len(hit), step):
                 part = slice(lo, lo + step)
                 np.take(flat, gather[0, part], out=hit[part])
@@ -468,7 +451,7 @@ def _coset_counts(diffs: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
     return counts
 
 
-def _group_from_rows(rows: tuple[int, ...], n: int) -> StabilizerGroup:
+def _group_from_rows(rows: Iterable[int], n: int) -> StabilizerGroup:
     return validate([hermitian_rep(v, n) for v in rows], n=n)
 
 
@@ -597,7 +580,8 @@ def search(
     Witness records are memoized per candidate and kind: each is built on
     the candidate's first hit as that kind and returned again, as the same
     object, by later searches in the same process; a candidate's
-    anticlique and clique records share one validated group.  Exhaustive
+    anticlique and clique records share one validated group, built from
+    the candidate's rows as classify builds its witnesses.  Exhaustive
     and deterministic; signs never matter to the verdicts.  Every k in
     ``k_range`` must be an int in 1..n.
     """

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -71,11 +71,8 @@ def _random_group(
 
 
 def _random_channel(rng: random.Random, n: int, max_ops: int) -> PauliChannel:
-    ops = [
-        hermitian_rep(rng.randrange(1 << (2 * n)), n)
-        for _ in range(rng.randrange(1, max_ops + 1))
-    ]
-    return channel.from_noise(ops, n=n)
+    count = rng.randrange(1, max_ops + 1)
+    return _subset_channel([rng.randrange(1 << (2 * n)) for _ in range(count)], n)
 
 
 def _subset_channel(vectors: Iterable[int], n: int) -> PauliChannel:
@@ -179,32 +176,23 @@ def check_oracle_equivalence(
 ) -> CheckResult:
     """compressed_dimension == dense Gram rank, exhaustive at n + sampled n=3."""
     failures: list[str] = []
-    exhaustive = 0
-    for ch, group in _exhaustive_cases(n, max_subset_size):
-        exhaustive += 1
-        fast = ramsey.compressed_dimension(ch, group)
-        dense = oracle.dense_compressed_dimension(ch, group).rank
-        if fast != dense:
-            failures.append(
-                f"n={n} noise {[str(o) for o in ch.operators]} vs {group}: "
-                f"{fast} != {dense}"
-            )
     rng = random.Random(seed)
-    for _ in range(n3_cases):
-        ch = _random_channel(rng, 3, 6)
-        group = _random_group(rng, 3)
+    sampled = [(_random_channel(rng, 3, 6), _random_group(rng, 3)) for _ in range(n3_cases)]
+    cases = 0
+    for ch, group in chain(_exhaustive_cases(n, max_subset_size), sampled):
+        cases += 1
         fast = ramsey.compressed_dimension(ch, group)
         dense = oracle.dense_compressed_dimension(ch, group).rank
         if fast != dense:
             failures.append(
-                f"n=3 noise {[str(o) for o in ch.operators]} vs {group}: "
+                f"n={ch.n} noise {[str(o) for o in ch.operators]} vs {group}: "
                 f"{fast} != {dense}"
             )
-    sampled = f" and {n3_cases} random n=3 cases" if n3_cases else ""
+    also = f" and {n3_cases} random n=3 cases" if n3_cases else ""
     return _result(
         "compressed dimension vs dense Gram rank",
         failures,
-        f"{exhaustive} exhaustive n={n} cases{sampled}, exact",
+        f"{cases - n3_cases} exhaustive n={n} cases{also}, exact",
     )
 
 

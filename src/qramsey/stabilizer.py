@@ -25,7 +25,6 @@ __all__ = [
     "ELEMENT_LIMIT",
     "validate",
     "from_string",
-    "to_string",
     "elements",
     "centralizer_image",
     "projector",
@@ -75,7 +74,7 @@ class StabilizerGroup:
         return f2.F2Basis(self.n, tuple(rows))
 
     def __str__(self) -> str:
-        return to_string(self)
+        return ",".join(str(g) for g in self.generators)
 
 
 def validate(generators: Sequence[PauliOperator], n: int | None = None) -> StabilizerGroup:
@@ -101,8 +100,7 @@ def validate(generators: Sequence[PauliOperator], n: int | None = None) -> Stabi
     if not gens:
         if n is None:
             raise ValueError("qubit count required for an empty generator list")
-        if n < 1:
-            raise ValueError(f"qubit count must be positive, got {n}")
+        f2._check_qubits(n)
         return StabilizerGroup(n, ())
     if n is None:
         n = gens[0].n
@@ -149,10 +147,6 @@ def from_string(text: str, n: int | None = None) -> StabilizerGroup:
     """Parse a comma-separated generator list such as ``"ZZI,IZZ"``."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     return validate([parse(p) for p in parts], n=n)
-
-
-def to_string(group: StabilizerGroup) -> str:
-    return ",".join(str(g) for g in group.generators)
 
 
 def elements(group: StabilizerGroup) -> list[PauliOperator]:

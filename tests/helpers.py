@@ -76,19 +76,29 @@ def low_weight_channel(rng, n):
 random_group = functools.partial(selftest._random_group, signs=False)
 
 
+def random_symplectic_map(rng, n, count):
+    """The map v -> T(v), T the product of count random transvections
+    v -> v + <v, u> u, u nonzero; each keeps every twisted dot."""
+    us = [rng.randrange(1, 1 << (2 * n)) for _ in range(count)]
+    us = [(u, f2.swap_halves(u, n)) for u in us]
+
+    def apply(v):
+        for u, su in us:
+            if (v & su).bit_count() & 1:
+                v ^= u
+        return v
+
+    return apply
+
+
 def random_isotropic_rows(rng, n, d):
     """d independent, pairwise commuting check vectors on n qubits.
 
-    Unit x-vectors moved by 3n random symplectic transvections
-    v -> v + <v, u> u, which keep every twisted dot; no rejection
-    sampling, so large n and d stay cheap.
+    Unit x-vectors moved by 3n random symplectic transvections; no
+    rejection sampling, so large n and d stay cheap.
     """
     rows = [1 << j for j in rng.sample(range(n), d)]
-    for _ in range(3 * n):
-        u = rng.randrange(1, 1 << (2 * n))
-        su = f2.swap_halves(u, n)
-        rows = [v ^ u if (v & su).bit_count() & 1 else v for v in rows]
-    return rows
+    return list(map(random_symplectic_map(rng, n, 3 * n), rows))
 
 
 def anticommuting_partner(rng, h, n):
@@ -140,3 +150,39 @@ def x_only_pairs(rng, n):
                 a ^= gz & -gz
             pairs.append((a, gz << n | rng.randrange(1 << n)))
     return pairs
+
+
+# -- golden corpora: seeded inputs whose outputs tests/golden_digests.json pins
+
+
+def isotropic_subset_channel(rng, n):
+    """Up to 12 vectors of the span of 1 to n random commuting rows, each
+    shifted by one random vector: the checks commute after classify's shift."""
+    rows = random_isotropic_rows(rng, n, rng.randrange(1, n + 1))
+    span = f2.F2Basis(n, tuple(rows)).span()
+    c = rng.randrange(1 << (2 * n))
+    picked = rng.sample(span, rng.randrange(1, min(len(span), 12) + 1))
+    return vector_channel([c ^ v for v in picked], n)
+
+
+def maximal_channel(rng, n):
+    """A seeded Lagrangian shifted by a random vector: 2^n checks."""
+    span = f2.F2Basis(n, tuple(random_isotropic_rows(rng, n, n))).span()
+    c = rng.randrange(1 << (2 * n))
+    return vector_channel([c ^ v for v in span], n)
+
+
+def dimension_pair(rng, n):
+    """A (channel, code) pair: random or commuting noise, and a code of 0 to n
+    generators."""
+    if rng.random() < 0.5:
+        ch = random_channel(rng, n, 2 * n + 4)
+    else:
+        ch = isotropic_subset_channel(rng, n)
+    return ch, random_group(rng, n, rng.randrange(n + 1))
+
+
+def search_case(rng, n):
+    """A channel of 4 to 16 random operators at n = 3 or 4, and a search mode."""
+    vectors = rng.sample(range(1 << (2 * n)), rng.randrange(4, 17))
+    return vector_channel(vectors, n), rng.choice(("anticlique", "clique", "both"))

@@ -36,7 +36,8 @@ def reduce(vectors, n: int) -> f2.F2Basis:
 
 
 def reduce_mod(v: int, basis: f2.F2Basis) -> int:
-    """f2.reduce_mod: v with every basis row at a set pivot bit XORed out."""
+    """The canonical representative of v modulo a canonical basis: v with
+    every basis row at a set pivot bit XORed out."""
     f2._check_vector(v, basis.n)
     for r in basis.rows:
         if (v >> _pivot(r)) & 1:
@@ -154,7 +155,7 @@ def extend_basis(partial: f2.F2Basis, candidates: Iterable[int]) -> f2.F2Basis:
     for c in cand:
         if len(rows) == target.dim:
             break
-        if f2.reduce_mod(c, work):
+        if reduce_mod(c, work):
             rows.append(c)
             work = f2.reduce(rows, n)
     return f2.F2Basis(n, tuple(rows))
@@ -295,8 +296,8 @@ def compressed_dimension(ch, group) -> int:
     basis = group.check_basis()
     return len(
         {
-            f2.reduce_mod(v, basis)
+            reduce_mod(v, basis)
             for v in channel.difference_set(ch)
-            if f2.reduce_mod(v, centralizer) == 0
+            if reduce_mod(v, centralizer) == 0
         }
     )

@@ -485,6 +485,22 @@ class TestParser:
             cli.main(["dim", "--stabilizer", "ZZ"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--stabilizer", "ZZ", "--seed", "-3"],
+        ["selftest", "--seed", "-1"],
+    ], ids=["verify", "selftest"])
+    def test_negative_seed_rejected_by_the_parser(self, capsys, monkeypatch, maximal_file, argv):
+        # numpy's seeding would refuse it, after a verify's counts or, for
+        # selftest, after criteria 1-8; the parser names the flag first
+        monkeypatch.setattr("qramsey.selftest.run", lambda **kw: pytest.fail("ran"))
+        monkeypatch.setattr(cli, "_verify_report", lambda *a: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--channel", maximal_file] if argv[0] == "verify" else argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --seed: must be a non-negative integer, got '-" in captured.err
+
 
 class TestOptionSurface:
     # every option each verb accepts: --seed only where a sampler reads it,

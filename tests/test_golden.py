@@ -1,12 +1,12 @@
 """Golden digests: default output pinned across changes, not only against
 the parent.
 
-``golden_digests.json`` holds one SHA-256 per corpus.  A classify corpus
-is digested over its classify JSON, one ``sort_keys`` line per channel in
-corpus order, each ending in a newline.  A CLI corpus is a script of
-commands run in-process through ``cli.main``, digested over one line per
-command: ``json.dumps([exit_code, stdout])`` and a newline.  A digest
-changes only with a change that means to change that output; that change
+``golden_digests.json`` holds one SHA-256 per corpus.  The classify,
+search and dimension corpora, and their digest form, are in ``golden``.
+A CLI corpus is a script of commands run in-process through
+``cli.main``, digested over one line per command:
+``json.dumps([exit_code, stdout])`` and a newline.  A digest changes
+only with a change that means to change that output; that change
 records the corpus, the old and new digest and the reason.
 ``python tests/test_golden.py`` prints every digest in the file's form.
 """
@@ -15,44 +15,21 @@ import contextlib
 import hashlib
 import io
 import json
-import random
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from qramsey import cli, ramsey, selftest
+from qramsey import cli
 
-from helpers import low_weight_channel
-
-GOLDEN = Path(__file__).with_name("golden_digests.json")
-
-
-def _n2_slice():
-    # 8,192 of the 65,535 n=2 channels, one per nonempty subset mask of
-    # the 16 Paulis, in a seeded order
-    masks = random.Random(2).sample(range(1, 1 << 16), 8192)
-    return [selftest._mask_channel(mask, 2) for mask in masks]
-
-
-def _low_weight():
-    # the classify_large_n shape: the identity plus 2n weight-1/2 Paulis
-    rng = random.Random(11)
-    return [low_weight_channel(rng, n) for _ in range(200) for n in (6, 8, 10)]
-
-
-CORPORA = {
-    "classify_n2_slice": _n2_slice,
-    "classify_low_weight_n6_8_10": _low_weight,
-}
-
-
-def classify_digest(channels) -> str:
-    digest = hashlib.sha256()
-    for ch in channels:
-        line = json.dumps(ramsey.classify(ch).to_json_dict(), sort_keys=True)
-        digest.update(line.encode() + b"\n")
-    return digest.hexdigest()
+from golden import (
+    CORPORA,
+    DEEP_CORPORA,
+    GOLDEN,
+    OUTPUT_CORPORA,
+    classify_digest,
+    line_digest,
+)
 
 
 def _cli_smoke(run, tmp):
@@ -122,6 +99,12 @@ def test_classify_digest_is_unchanged(name):
     assert classify_digest(CORPORA[name]()) == expected
 
 
+@pytest.mark.parametrize("name", sorted(OUTPUT_CORPORA))
+def test_output_digest_is_unchanged(name):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert line_digest(OUTPUT_CORPORA[name]()) == expected
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CORPORA))
 def test_cli_digest_is_unchanged(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
@@ -130,12 +113,15 @@ def test_cli_digest_is_unchanged(name, tmp_path):
 
 def test_every_corpus_has_a_digest():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(
-        [*CORPORA, *CLI_CORPORA, *DEEP_CLI_CORPORA]
+        [*CORPORA, *OUTPUT_CORPORA, *DEEP_CORPORA, *CLI_CORPORA, *DEEP_CLI_CORPORA]
     )
 
 
 if __name__ == "__main__":
-    digests = {name: classify_digest(make()) for name, make in CORPORA.items()}
+    digests = {
+        name: classify_digest(make()) for name, make in {**CORPORA, **DEEP_CORPORA}.items()
+    }
+    digests.update((name, line_digest(make())) for name, make in OUTPUT_CORPORA.items())
     with tempfile.TemporaryDirectory() as tmp:
         for name, script in {**CLI_CORPORA, **DEEP_CLI_CORPORA}.items():
             digests[name] = cli_digest(script, Path(tmp))

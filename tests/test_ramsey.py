@@ -21,12 +21,14 @@ from helpers import (
     CLASSIFY_MEMOS,
     anticommuting_partner,
     clear_classify_memos,
+    dimension_pair,
     low_weight_channel,
     low_weight_vectors,
     make_channel,
     random_channel,
     random_group,
     random_isotropic_rows,
+    random_symplectic_map,
     sparse_vectors,
     vector_channel,
     x_only_pairs,
@@ -195,7 +197,7 @@ class TestCompressedDimension:
                 away = next(
                     v
                     for v in iter(lambda: rng.randrange(1 << (2 * n)), None)
-                    if f2.reduce_mod(v, centralizer)
+                    if reference.reduce_mod(v, centralizer)
                 )
                 variants = [
                     coset,
@@ -245,17 +247,13 @@ class TestCompressedDimension:
         ``c & pivots``, then looks up the row of each pivot held.  The spy
         hands it tables whose pivot mask counts its reads, one reduction
         per walk, and whose rows count their lookups: ``walks`` holds
-        [c & pivots, rows looked up] per walk.  ``f2.reduce_mod`` checks
-        its vector and reduces it with ``f2._reduce_mod``; each of those
-        reductions counts once, made through either, and a public call
-        counts even if it stops running the private kernel.  The
-        reductions that build a table are made once per group, not per
-        check, and are not counted.  Pairs are the ones drawn from
-        ``ramsey.combinations``.
+        [c & pivots, rows looked up] per walk.  Each ``f2._reduce_mod``
+        call counts once.  The reductions that build a table are made once
+        per group, not per check, and are not counted.  Pairs are the ones
+        drawn from ``ramsey.combinations``.
         """
         calls = {"reductions": 0, "pairs": 0, "difference_set": 0, "walks": []}
-        uncounted = [False]  # inside a public reduction or a table build
-        real_reduce_mod = f2.reduce_mod
+        uncounted = [False]  # inside a table build
         real_private = f2._reduce_mod
         real_table = ramsey._count_table
         real_combinations = ramsey.combinations
@@ -283,14 +281,6 @@ class TestCompressedDimension:
                 uncounted[0] = False
             return CountedRows(rows), CountedPivots(pivots), basis
 
-        def counting_reduce_mod(v, basis):
-            calls["reductions"] += 1
-            uncounted[0] = True
-            try:
-                return real_reduce_mod(v, basis)
-            finally:
-                uncounted[0] = False
-
         def counting_private(v, basis):
             calls["reductions"] += not uncounted[0]
             return real_private(v, basis)
@@ -305,7 +295,6 @@ class TestCompressedDimension:
             return real_difference_set(channel_)
 
         monkeypatch.setattr(ramsey, "_count_table", counting_table)
-        monkeypatch.setattr(f2, "reduce_mod", counting_reduce_mod)
         monkeypatch.setattr(f2, "_reduce_mod", counting_private)
         monkeypatch.setattr(ramsey, "combinations", counting_combinations)
         monkeypatch.setattr(channel, "difference_set", counting_difference_set)
@@ -990,8 +979,8 @@ class TestConstructionInternals:
                     )
                     for rows in ramsey._candidates(n, d).rows.tolist()
                 ]
-        for chunk in (ramsey._LEVEL_CHUNK, 1, 37):
-            monkeypatch.setattr(ramsey, "_LEVEL_CHUNK", chunk)
+        for chunk in (f2._CHUNK_ELEMENTS, 1, 37):
+            monkeypatch.setattr(f2, "_CHUNK_ELEMENTS", chunk)
             monkeypatch.setattr(ramsey, "_SUBSPACE_CACHE", {})
             for key, (level, reps) in _built_levels(range(1, 4)).items():
                 want, want_reps = built[key]
@@ -1103,7 +1092,7 @@ class TestConstructionInternals:
             for i in random.Random(d).sample(range(len(level)), min(20, len(level))):
                 basis = f2.reduce(level.rows[i].tolist(), n)
                 kernel = f2.twisted_kernel(list(basis.rows), n)
-                want = sorted({f2.reduce_mod(u, basis) for u in kernel.span()})
+                want = sorted({reference.reduce_mod(u, basis) for u in kernel.span()})
                 assert reps[i].tolist() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1205,8 +1194,9 @@ class TestConstructionInternals:
     def test_record_groups_share_the_tables_operators(self, n, validate_calls, monkeypatch):
         # every code is an anticlique of the identity channel, so one cold
         # search builds the group of every candidate; its generators are the
-        # operators of the one table of n, which is all that search builds
-        monkeypatch.setattr(ramsey, "_PLUS_SIGNED", {})
+        # operators of hermitian_rep's memo, which holds all 4^n of them, and
+        # those are all that search builds
+        hermitian_rep.cache_clear()
         ch = make_channel("I" * n)
         constructed = []
         real_post_init = PauliOperator.__post_init__
@@ -1219,12 +1209,10 @@ class TestConstructionInternals:
             spy.setattr(PauliOperator, "__post_init__", counting_post_init)
             report = ramsey.search(ch, mode="both")
         assert len(constructed) <= 4**n
-        table = ramsey._plus_signed(n)
-        assert table == tuple(hermitian_rep(v, n) for v in range(4**n))
         codes = sum(count for _, count in report.examined)
         assert len(report.witnesses) == len(validate_calls) == codes
         for w in report.witnesses:
-            assert all(g is table[g.check_vector()] for g in w.group.generators)
+            assert all(g is hermitian_rep(g.check_vector(), n) for g in w.group.generators)
 
     def test_anticlique_and_clique_records_share_one_group(self, validate_calls):
         # every k=1 code is an anticlique of the identity channel and a
@@ -1394,3 +1382,31 @@ class TestConstructionInternals:
         info = ramsey._noncommuting_clique_candidate.cache_info()
         assert info.misses == info.currsize == len(keys)
         assert len(keys) < len(raw)
+
+
+class TestSymplecticInvariance:
+    def test_transvections_keep_counts_and_verdicts(self):
+        # a product of transvections v -> v + <v, u> u keeps every twisted
+        # dot, so applied to the checks and to the code it keeps the
+        # compressed dimension, Gottesman's test and the classify verdict
+        rng = random.Random(81)
+        seen = set()
+        for case in range(400):
+            n = 2 + case % 6
+            ch, group = dimension_pair(rng, n)
+            t = random_symplectic_map(rng, n, 2 * n)
+            moved_ch = vector_channel([t(op.check_vector()) for op in ch.operators], n)
+            moved = ramsey._group_from_rows([t(g.check_vector()) for g in group.generators], n)
+            dim = ramsey.compressed_dimension(ch, group)
+            assert ramsey.compressed_dimension(moved_ch, moved) == dim, case
+            correctable = ramsey.gottesman_correctable(ch, group)
+            assert ramsey.gottesman_correctable(moved_ch, moved) == correctable, case
+            verdict = ramsey.classify(ch)
+            after = ramsey.classify(moved_ch)
+            assert (after.tag, after.dim_pgp) == (verdict.tag, verdict.dim_pgp), case
+            seen.add((verdict.tag, dim > 1, correctable))
+        # every verdict, and counts of 1 and above, correctable or not
+        assert {tag for tag, _, _ in seen} == {
+            "MaximalStabilizerChannel", "Anticlique", "Clique"
+        }
+        assert {(big, ok) for _, big, ok in seen} == {(False, True), (True, False)}

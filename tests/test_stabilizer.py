@@ -378,7 +378,7 @@ class TestCentralizerImage:
                     image = stabilizer.centralizer_image(group)
                     for v, p in enumerate(ops):
                         commutes = all(p.commutes(g) for g in group.generators)
-                        assert (f2.reduce_mod(v, image) == 0) == commutes
+                        assert (reference.reduce_mod(v, image) == 0) == commutes
 
 
 class TestProjector:
