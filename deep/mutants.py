@@ -119,13 +119,25 @@ MUTANTS = (
         ("tests/test_ramsey.py::TestSearch",),
     ),
     Mutant(
+        "walk_step_xor", RAMSEY,
+        "                hit[part] |= np.take(flat, gather[1, part])\n",
+        "                hit[part] ^= np.take(flat, gather[1, part])\n",
+        ("tests/test_ramsey.py::TestMonotonicity",),
+    ),
+    Mutant(
+        "witness_kind_bit_dropped", RAMSEY,
+        "        at = 2 * hits + clique[hits]\n", "        at = 2 * hits\n",
+        ("tests/test_golden.py", "tests/test_ramsey.py::TestSearch"),
+    ),
+    Mutant(
         "record_marks_both_kinds", RAMSEY,
-        "            self.built[i, kind] = True\n", "            self.built[i] = True\n",
+        "            self.built[a] = True\n",
+        "            self.built[a] = self.built[a ^ 1] = True\n",
         ("tests/test_ramsey.py", "-k", "record"),
     ),
     Mutant(
         "record_group_not_shared", RAMSEY,
-        "            if self.built[i, 1 - kind]:\n", "            if False:\n",
+        "            if self.built[a ^ 1]:\n", "            if False:\n",
         ("tests/test_ramsey.py", "-k", "record"),
     ),
     Mutant(

@@ -96,7 +96,9 @@ def first_16_operator_search_at_n5():
             ops = [hermitian_rep(v, n) for v in cands.rows[i].tolist()]
             want = reference.validate(ops, n=n)
             assert stabilizer.validate(ops, n=n).generators == want.generators, (d, i)
-            records = cands.records[i][cands.built[i]] if len(cands.built) else ()
+            # candidate i's records in the flat memo, at 2·i + kind
+            pair = slice(2 * i, 2 * i + 2)
+            records = cands.records[pair][cands.built[pair]]
             for record in records:
                 assert record.group.generators == want.generators, (d, i)
                 recorded += 1

@@ -1,7 +1,8 @@
 """The classify corpora too slow for tier-1: random channels at n = 11..16,
-maximal channels at n = 10, the low-weight shape at n = 128 and every
-n = 2 channel.  Their digests are in ``tests/golden_digests.json``, in the
-classify corpus form that ``tests/golden.py`` describes.
+maximal channels at n = 10, the low-weight shape at n = 128, the pair
+scan's worst case at n = 10 and 11, and every n = 2 channel.  Their
+digests are in ``tests/golden_digests.json``, in the classify corpus form
+that ``tests/golden.py`` describes.
 """
 
 import json

@@ -177,9 +177,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_maximal(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        print("error: --n must be a positive integer", file=sys.stderr)
-        return 1
     if args.generators is not None:
         group = stabilizer.from_string(args.generators, n=args.n)
     else:
@@ -291,9 +288,6 @@ def _selftest_text(doc: dict) -> str:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    if args.n is not None and args.n < 1:
-        print("error: --n must be a positive integer", file=sys.stderr)
-        return 1
     results = selftest.run(exhaustive=args.exhaustive, seed=args.seed, max_n=args.n)
     doc = {
         "passed": all(res.passed for _, res in results),
@@ -316,6 +310,12 @@ def _seed(text: str) -> int:
     # numpy's generators take no negative seed
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _qubits(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -346,7 +346,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", metavar="LIST", help="comma separated logical qubit counts")
 
     p = add("construct-maximal", _cmd_construct_maximal, "write a maximal stabilizer channel")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_qubits, required=True)
     p.add_argument("--generators", metavar="GENS", help="defaults to the X-type group")
     p.add_argument("-o", "--output", required=True, metavar="FILE")
 
@@ -356,7 +356,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0, help="seed for privacy sampling")
 
     p = add("selftest", _cmd_selftest, "run the nine-part verification battery")
-    p.add_argument("--n", type=int, default=None, help="cap the qubit count")
+    p.add_argument("--n", type=_qubits, default=None, help="cap the qubit count")
     p.add_argument("--seed", type=_seed, default=0, help="seed for the sampled criteria")
     p.add_argument("--exhaustive", action="store_true",
                    help="full acceptance parameters (about six seconds)")

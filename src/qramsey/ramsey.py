@@ -300,15 +300,17 @@ def gottesman_correctable(ch: PauliChannel, group: StabilizerGroup) -> bool:
 # (n, d), so each level computes them once, as it is built, in chunks of
 # f2._CHUNK_ELEMENTS elements, as is its walk step.  A witness record is
 # fixed by (n, d, candidate, kind), so each candidate keeps the
-# SearchWitness built on its first hit as each kind, and later searches
-# gather them with one fancy index.  A candidate's two records share one
-# group, built once per process from its array row by _group_from_rows,
+# SearchWitness built on its first hit as each kind, in a flat memo at
+# 2·i + kind.  One pass over a level's counts turns them into those
+# positions, and later searches read the records with one flat index.  A
+# candidate's two records share one group, at positions differing in the
+# low bit, built once per process from its array row by _group_from_rows,
 # as classify builds its witnesses.  hermitian_rep's memo holds all 4^n
 # operators at every n that search allows, so the groups share them.  The
 # rows are canonical bases already, so validate checks their operators
 # and sorts them, but reduces nothing.
 
-# record columns of _Candidates, indexed by kind
+# the kinds of a record, the low bit of its memo position 2·i + kind
 _KINDS = ("anticlique", "clique")
 
 
@@ -321,32 +323,42 @@ class _Candidates:
     # level's (count, 4^(k+1)) array of rows, x running over reps; level 0
     # has none, as the walk starts from the marked row of W
     gather: np.ndarray
-    # the memo: (0, 2) until the level's first hit, then (count, 2), so a
-    # process whose searches hit no candidate here holds no memo for it
-    records: np.ndarray  # object: SearchWitness per kind
+    # the memo, flat: candidate i's record as kind at 2·i + kind.  Empty
+    # until the level's first hit, then of length 2·count, so a process
+    # whose searches hit no candidate here holds no memo for it
+    records: np.ndarray  # object: SearchWitness
     built: np.ndarray  # bool: which records exist
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def witnesses(self, hits: np.ndarray, kinds: np.ndarray) -> list[SearchWitness]:
-        """Records of candidates ``hits`` as ``kinds``, built on first use."""
-        if hits.size and not len(self.built):
-            self.records = np.empty((len(self), 2), dtype=object)
-            self.built = np.zeros((len(self), 2), dtype=bool)
-        missing = ~self.built[hits, kinds]
-        new = hits[missing]
-        for i, kind, row in zip(
-            new.tolist(), kinds[missing].tolist(), self.rows[new].tolist()
-        ):
-            if self.built[i, 1 - kind]:
-                group = self.records[i, 1 - kind].group
+    def witnesses(self, counts: np.ndarray, full: int, mode: str) -> list[SearchWitness]:
+        """Records of the candidates whose ``counts`` make them witnesses in
+        ``mode``, in candidate order, each built on first use.
+
+        A count of ``full`` (4^k) is a clique, a count of 1 an anticlique;
+        as 4^k > 1 for k >= 1, a candidate is at most one of them.
+        """
+        clique = counts == full
+        wanted = clique if mode == "clique" else counts == 1
+        if mode == "both":
+            wanted |= clique
+        hits = np.flatnonzero(wanted)
+        at = 2 * hits + clique[hits]
+        if at.size and not len(self.built):
+            self.records = np.empty(2 * len(self), dtype=object)
+            self.built = np.zeros(2 * len(self), dtype=bool)
+        new = at[~self.built[at]]
+        for a, row in zip(new.tolist(), self.rows[new >> 1].tolist()):
+            if self.built[a ^ 1]:
+                group = self.records[a ^ 1].group
             else:
                 group = _group_from_rows(row, self.n)
+            kind = a & 1
             dim_pgp = 1 << (2 * group.k) if kind else 1
-            self.records[i, kind] = SearchWitness(group.k, _KINDS[kind], group, dim_pgp)
-            self.built[i, kind] = True
-        return self.records[hits, kinds].tolist()
+            self.records[a] = SearchWitness(group.k, _KINDS[kind], group, dim_pgp)
+            self.built[a] = True
+        return self.records[at].tolist()
 
 
 _SUBSPACE_CACHE: dict[tuple[int, int], _Candidates] = {}
@@ -413,12 +425,7 @@ def _candidates(n: int, d: int) -> _Candidates:
             gather[1, part] = at
         up.reps = None
     level = _Candidates(
-        n,
-        rows,
-        reps,
-        gather,
-        np.empty((0, 2), dtype=object),
-        np.zeros((0, 2), dtype=bool),
+        n, rows, reps, gather, np.empty(0, dtype=object), np.zeros(0, dtype=bool)
     )
     _SUBSPACE_CACHE[key] = level
     return level
@@ -610,15 +617,7 @@ def search(
     for k in ks:
         cands = _candidates(n, n - k)
         examined.append((k, len(cands)))
-        full = 1 << (2 * k)
-        counts = all_counts[n - k]
-        wanted = np.zeros(len(cands), dtype=bool)
-        if mode != "clique":
-            wanted |= counts == 1
-        if mode != "anticlique":
-            wanted |= counts == full
-        hits = np.flatnonzero(wanted)
-        witnesses += cands.witnesses(hits, (counts[hits] != 1).astype(np.intp))
+        witnesses += cands.witnesses(all_counts[n - k], 1 << (2 * k), mode)
     return SearchReport(
         n,
         tuple(str(op) for op in ch.operators),

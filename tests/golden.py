@@ -21,6 +21,7 @@ from helpers import (
     isotropic_subset_channel,
     low_weight_channel,
     maximal_channel,
+    pair_scan_worst_channel,
     random_channel,
     search_case,
 )
@@ -61,6 +62,10 @@ CORPORA = {
     ),
     "classify_maximal_n2_8": lambda: _seeded(33, range(2, 9), 3, maximal_channel),
     "classify_low_weight_n32_64": lambda: _seeded(34, (32, 64), 10, low_weight_channel),
+    # the first anticommuting pair's worst case, Z on each qubit in turn
+    "classify_pair_scan_worst_n3_8": lambda: [
+        pair_scan_worst_channel(n, j) for n in range(3, 9) for j in range(n)
+    ],
 }
 
 # other outputs: name -> one JSON value per input
@@ -81,6 +86,9 @@ DEEP_CORPORA = {
     "classify_random_n11_16": lambda: _seeded(41, range(11, 17), 40, _random),
     "classify_maximal_n10": lambda: _seeded(42, (10,), 3, maximal_channel),
     "classify_low_weight_n128": lambda: _seeded(43, (128,), 10, low_weight_channel),
+    "classify_pair_scan_worst_n10_11": lambda: [
+        pair_scan_worst_channel(n, n - 1) for n in (10, 11)
+    ],
     # every one of the 65,535 nonempty subsets of the 16 Paulis
     "classify_n2_all": lambda: (selftest._mask_channel(m, 2) for m in range(1, 1 << 16)),
 }

@@ -186,3 +186,14 @@ def search_case(rng, n):
     """A channel of 4 to 16 random operators at n = 3 or 4, and a search mode."""
     vectors = rng.sample(range(1 << (2 * n)), rng.randrange(4, 17))
     return vector_channel(vectors, n), rng.choice(("anticlique", "clique", "both"))
+
+
+def pair_scan_worst_channel(n, j):
+    """The 2^n x-only check vectors plus Z on qubit j: m = 2^n + 1.
+
+    Every x-only check commutes with every other, so classify's scan for
+    the first anticommuting pair passes each check before the first one
+    holding bit j, and each of those against every later check, before it
+    meets Z_j, the largest check.
+    """
+    return vector_channel([*range(1 << n), 1 << (n + j)], n)

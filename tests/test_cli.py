@@ -226,9 +226,9 @@ class TestConstructMaximal:
         assert "error:" in err
 
     def test_nonpositive_n_rejected(self, capsys, tmp_path):
-        code, _, _ = invoke(capsys, "construct-maximal", "--n", "0",
-                            "-o", str(tmp_path / "x.json"))
-        assert code == 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["construct-maximal", "--n", "0", "-o", str(tmp_path / "x.json")])
+        assert exc.value.code == 1
 
 
 class TestVerify:
@@ -329,10 +329,15 @@ class TestSelftest:
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n_rejected(self, capsys, monkeypatch, n):
         monkeypatch.setattr("qramsey.selftest.run", lambda **kw: pytest.fail("ran"))
-        code, out, err = invoke(capsys, "selftest", "--n", n)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["selftest", "--n", n])
+        code = exc.value.code
+        out, err = capsys.readouterr()
         assert code == 1
         assert out == ""
-        assert err == "error: --n must be a positive integer\n"
+        assert err.splitlines()[-1] == (
+            f"qramsey selftest: error: argument --n: must be a positive integer, got '{n}'"
+        )
 
     def test_failure_exits_2(self, capsys, monkeypatch):
         broken = [(1, selftest.CheckResult("forced", False, "boom"))]
@@ -500,6 +505,22 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument --seed: must be a non-negative integer, got '-" in captured.err
+
+    @pytest.mark.parametrize("verb", ["construct-maximal", "selftest"])
+    @pytest.mark.parametrize("n", ["0", "-2", "two"])
+    def test_nonpositive_n_rejected_by_the_parser(self, capsys, monkeypatch, tmp_path, verb, n):
+        # both verbs read --n through one parser type, which refuses it
+        # before any work: no battery run, no channel file written
+        monkeypatch.setattr("qramsey.selftest.run", lambda **kw: pytest.fail("ran"))
+        target = tmp_path / "m.json"
+        extra = ["-o", str(target)] if verb == "construct-maximal" else []
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, "--n", n, *extra])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument --n: must be a positive integer, got '{n}'\n" in captured.err
+        assert not target.exists()
 
 
 class TestOptionSurface:

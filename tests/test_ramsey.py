@@ -1181,8 +1181,10 @@ class TestConstructionInternals:
         memoized = 0
         for d in range(n):
             cands = ramsey._candidates(n, d)
-            for i in np.flatnonzero(cands.built.any(axis=1)).tolist():
-                records = cands.records[i][cands.built[i]].tolist()
+            # the flat memo as (count, 2): candidate i's records by kind
+            kinds = cands.built.reshape(-1, 2)
+            for i in np.flatnonzero(kinds.any(axis=1)).tolist():
+                records = cands.records.reshape(-1, 2)[i][kinds[i]].tolist()
                 group = records[0].group
                 assert all(r.group is group for r in records)
                 ops = [hermitian_rep(v, n) for v in cands.rows[i].tolist()]
@@ -1225,7 +1227,7 @@ class TestConstructionInternals:
         for i, (a, c) in enumerate(zip(anti, clique)):
             assert (a.kind, a.dim_pgp) == ("anticlique", 1)
             assert (c.kind, c.dim_pgp) == ("clique", 4)
-            assert a is cands.records[i, 0] and c is cands.records[i, 1]
+            assert a is cands.records[2 * i] and c is cands.records[2 * i + 1]
             assert a.group is c.group
 
     def test_memo_is_allocated_on_a_levels_first_hit(self, validate_calls):
@@ -1244,7 +1246,7 @@ class TestConstructionInternals:
         ch = make_channel("III", "XII", "ZII", "IYI", "IIZ")
         first = ramsey.search(ch, "both")
         assert first.witnesses
-        assert any(len(level.built) == len(level) for level in levels)
+        assert any(len(level.built) == 2 * len(level) for level in levels)
         second = ramsey.search(ch, "both")
         assert second == first
         assert all(a is b for a, b in zip(second.witnesses, first.witnesses))
@@ -1410,3 +1412,37 @@ class TestSymplecticInvariance:
             "MaximalStabilizerChannel", "Anticlique", "Clique"
         }
         assert {(big, ok) for _, big, ok in seen} == {(False, True), (True, False)}
+
+
+class TestMonotonicity:
+    def test_adding_an_operator_never_lowers_the_count(self):
+        # an extra operator adds its differences with every check to W and
+        # removes none, and a coset that W hits stays hit, so no count
+        # falls: compressed_dimension on the seeded code, and at n <= 4 the
+        # walk's count of every candidate at every level
+        rng = random.Random(89)
+        rose = walked = walk_rose = 0
+        for case in range(300):
+            n = 2 + case % 6
+            ch, group = dimension_pair(rng, n)
+            checks = [op.check_vector() for op in ch.operators]
+            grown = vector_channel([*checks, rng.randrange(1 << (2 * n))], n)
+            before = ramsey.compressed_dimension(ch, group)
+            after = ramsey.compressed_dimension(grown, group)
+            assert after >= before, case
+            rose += after > before
+            if n > 4:
+                continue
+            walks = [
+                ramsey._coset_counts(
+                    np.fromiter(channel.difference_set(c), dtype=np.intp), n, n - 1
+                )
+                for c in (ch, grown)
+            ]
+            for d, (low, high) in enumerate(zip(*walks)):
+                assert (high >= low).all(), (case, d)
+                walked += len(low)
+                walk_rose += int((high > low).sum())
+        assert rose > 100
+        assert walked == 50 * (1 + 15 + 1 + 63 + 315 + 1 + 255 + 5355 + 11475)
+        assert walk_rose > walked // 4
