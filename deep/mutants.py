@@ -44,6 +44,8 @@ class Mutant:
 
 RAMSEY = "src/qramsey/ramsey.py"
 F2 = "src/qramsey/f2.py"
+ORACLE = "src/qramsey/oracle.py"
+ORACLE_TESTS = "tests/test_oracle.py"
 
 MUTANTS = (
     # the verifying count's walk
@@ -168,6 +170,48 @@ MUTANTS = (
         "            op = gens[i] if op is None else op.multiply(gens[i])\n",
         "            op = gens[i]\n",
         ("tests/test_stabilizer.py",),
+    ),
+    # the dense oracle
+    Mutant(
+        "lines_from_real_parts", ORACLE,
+        "    factors = np.where(real[:, None, None], ops.real, ops.imag)\n",
+        "    factors = ops.real\n",
+        (f"{ORACLE_TESTS}::TestBatchedAgainstLoops",),
+    ),
+    Mutant(
+        "lines_symmetric_only", ORACLE,
+        "    if not ((flipped == upper).all(axis=1) | (flipped == -upper).all(axis=1)).all():\n",
+        "    if not (flipped == upper).all(axis=1).all():\n",
+        (f"{ORACLE_TESTS}::TestDenseGraphDimension",),
+    ),
+    Mutant(
+        "lines_unweighted", ORACLE,
+        "    lines[1:] *= np.sqrt(2)\n", "",
+        (f"{ORACLE_TESTS}::TestBatchedAgainstLoops",),
+    ),
+    Mutant(
+        "spectrum_unpadded", ORACLE,
+        "    values = np.zeros(flat.shape[0] if count is None else count)\n",
+        "    values = np.zeros(len(gram))\n",
+        (f"{ORACLE_TESTS}::TestGramSides",),
+    ),
+    Mutant(
+        "overlaps_without_conj", ORACLE,
+        "    pairs = (a.conj()[:, :, None] * b[:, None, :]).reshape(samples, -1)\n",
+        "    pairs = (a[:, :, None] * b[:, None, :]).reshape(samples, -1)\n",
+        (f"{ORACLE_TESTS}::TestPrivateWitnessCheck",),
+    ),
+    Mutant(
+        "projector_ignores_sign", "src/qramsey/stabilizer.py",
+        "        p = p @ (eye + h if g.phase == plus.phase else eye - h) / 2\n",
+        "        p = p @ (eye + h) / 2\n",
+        ("tests/test_stabilizer.py::TestProjector",),
+    ),
+    Mutant(
+        "projector_memoizes_signed_generators", "src/qramsey/stabilizer.py",
+        "        h = dense_matrix(plus)\n",
+        "        h = dense_matrix(g) if g.phase == plus.phase else -dense_matrix(g)\n",
+        ("tests/test_stabilizer.py::TestProjector",),
     ),
     # the front end
     Mutant(

@@ -5,7 +5,8 @@ dense matrices of ``to_dense``, the code comes from the product formula
 for its projector, and dimensions from the spectra of honest Gram
 matrices.  Agreement with the bit-level routines is therefore evidence
 that both are right, which is the whole point.  Everything is
-deterministic given the seed.
+deterministic given the seed.  Operator matrices come from one read-only
+memo, ``pauli.dense_matrix``, which ``stabilizer.projector`` reads too.
 
 Every code predicate reads one compression, in code coordinates: with V
 the orthonormal code basis from ``eigh`` of the projector P = V V^+, each
@@ -25,7 +26,11 @@ no m^2 stack of 2^n x 2^n quotients is formed.
 - The graph rank reads 1 + m(m-1)/2 quotient lines, not m^2 quotients:
   every E_i^+ E_i is one matrix, and E_j^+ E_i = +-E_i^+ E_j for Pauli
   matrices, both checked exactly (see ``_quotient_lines``).  At m = 16
-  and n = 4 its Gram matrix is 121 x 121, not 256 x 256.
+  and n = 4 its Gram matrix is 121 x 121, not 256 x 256.  The lines are
+  real: each E_i is a phase in {+-1, +-i} times a real matrix R_i, also
+  checked exactly, and a line of R_i^T R_j differs from the line of
+  E_i^+ E_j by one such phase, which leaves the Gram spectrum alone.  So
+  the lines, their Gram matrix and its eigenvalues are all real.
 - Privacy sampling draws all pairs in one call, and reads every overlap
   from one product of the rows conj(a) (x) b with the flattened
   compressions.
@@ -51,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import PauliChannel
-from .pauli import DENSE_QUBIT_LIMIT, CapacityError, PauliOperator
+from .pauli import DENSE_QUBIT_LIMIT, CapacityError, dense_matrix
 from .stabilizer import StabilizerGroup, projector
 
 __all__ = [
@@ -77,11 +82,8 @@ class GramRankResult:
     singular_values: tuple[float, ...]
 
 
-@lru_cache(maxsize=4096)
-def _dense(op: PauliOperator) -> np.ndarray:
-    m = op.to_dense()
-    m.flags.writeable = False
-    return m
+# the one memo of operator matrices, shared with stabilizer.projector
+_dense = dense_matrix
 
 
 # _code_quotients keeps the compression of the last (code, channel) pair,
@@ -132,34 +134,45 @@ def _code_quotients(group: StabilizerGroup, ch: PauliChannel) -> np.ndarray:
 
 
 def _quotient_lines(ch: PauliChannel) -> np.ndarray:
-    """The weighted quotient lines, a (1 + m(m-1)/2, 2^n, 2^n) array.
+    """The weighted real quotient lines, a (1 + m(m-1)/2, 2^n, 2^n) array.
 
-    Line 0 is sqrt(m) E_0^+ E_0 and the rest are sqrt(2) E_i^+ E_j for
-    i < j, ordered by j and then by i.  Every E_i^+ E_i equals E_0^+ E_0
-    and E_j^+ E_i = (E_i^+ E_j)^+ is +-E_i^+ E_j, both checked exactly; so
-    the m^2 quotients are F = D U with U the unweighted lines and one entry
-    of modulus 1 in each row of D, m rows on line 0 and two on each other.
-    Then conj(F) F^T has the nonzero spectrum of U^T D^T conj(D) conj(U),
-    and D^T conj(D) = diag(m, 2, ..., 2): the lines' own Gram shares it.
+    Every E_i is phi_i R_i with R_i real and phi_i in {+-1, +-i}: ``to_dense``
+    is i^phase times a Kronecker product of real factors.  So E_i^+ E_j is
+    conj(phi_i) phi_j R_i^T R_j, and the lines are real: line 0 is
+    sqrt(m) R_0^T R_0 and the rest are sqrt(2) R_i^T R_j for i < j, ordered
+    by j and then by i.  That each E_i is real or imaginary, that every
+    R_i^T R_i equals R_0^T R_0, and that each R_i^T R_j is symmetric or
+    antisymmetric (so E_j^+ E_i = (E_i^+ E_j)^+ is +-E_i^+ E_j) are checked
+    exactly; so the m^2 quotients are F = D U with U the unweighted lines
+    and one entry of modulus 1 in each row of D, m rows on line 0 and two on
+    each other.  Then conj(F) F^T has the nonzero spectrum of
+    U^T D^T conj(D) conj(U), and D^T conj(D) = diag(m, 2, ..., 2): the
+    lines' own Gram shares it.
     """
     ops = _operators(ch)
     m, size = ops.shape[:2]
-    adjoints = ops.conj().transpose(0, 2, 1)
-    squares = adjoints @ ops
+    real = ~ops.imag.any(axis=(1, 2))
+    if not (real | ~ops.real.any(axis=(1, 2))).all():
+        raise RuntimeError(
+            "an E_i is not a phase times a real matrix; the lines are not real"
+        )
+    factors = np.where(real[:, None, None], ops.real, ops.imag)
+    transposes = factors.transpose(0, 2, 1)
+    squares = transposes @ factors
     if not (squares == squares[0]).all():
         raise RuntimeError("the E_i^+ E_i differ; the lines do not span the quotients")
-    lines = np.empty((1 + m * (m - 1) // 2, size, size), dtype=ops.dtype)
+    lines = np.empty((1 + m * (m - 1) // 2, size, size))
     lines[0] = squares[0]
-    # the lines of one j are one product: E_0^+ .. E_{j-1}^+ stacked in
-    # rows, times E_j
-    rows = adjoints.reshape(m * size, size)
+    # the lines of one j are one product: R_0^T .. R_{j-1}^T stacked in
+    # rows, times R_j
+    rows = transposes.reshape(m * size, size)
     start = 1
     for j in range(1, m):
         out = lines[start : start + j].reshape(j * size, size)
-        np.matmul(rows[: j * size], ops[j], out=out)
+        np.matmul(rows[: j * size], factors[j], out=out)
         start += j
     upper = lines[1:].reshape(len(lines) - 1, size * size)
-    flipped = lines[1:].conj().transpose(0, 2, 1).reshape(upper.shape)
+    flipped = lines[1:].transpose(0, 2, 1).reshape(upper.shape)
     if not ((flipped == upper).all(axis=1) | (flipped == -upper).all(axis=1)).all():
         raise RuntimeError(
             "an E_i^+ E_j is neither Hermitian nor anti-Hermitian; "
@@ -173,15 +186,17 @@ def _quotient_lines(ch: PauliChannel) -> np.ndarray:
 def _gram_rank(stack: np.ndarray, count: int | None = None) -> GramRankResult:
     """Rank and descending spectrum of the Gram matrix conj(F) F^T.
 
-    F is the (rows, e) flattened stack.  conj(F) F^T and F^T conj(F) are
-    Hermitian positive semidefinite with one nonzero spectrum, so the
-    smaller is formed; the values past its order are exact zeros.  The
-    spectrum is padded with zeros to ``count`` values (default: the row
-    count), so a stack of lines that shares the nonzero spectrum of m^2
-    quotients reports m^2 values.  Rounding below zero is clipped, so the
-    values are the singular values of conj(F) F^T.
+    F is the (rows, e) flattened stack, real or complex.  conj(F) F^T and
+    F^T conj(F) are Hermitian positive semidefinite with one nonzero
+    spectrum, so the smaller is formed; the values past its order are exact
+    zeros.  A real F gives a real symmetric Gram matrix and a real
+    ``eigvalsh``.  The spectrum is padded with zeros to ``count`` values
+    (default: the row count), so a stack of lines that shares the nonzero
+    spectrum of m^2 quotients reports m^2 values.  Rounding below zero is
+    clipped, so the values are the singular values of conj(F) F^T.
     """
     flat = stack.reshape(stack.shape[0], -1)
+    # conj() of a real array is that array, not a copy
     if flat.shape[0] <= flat.shape[1]:
         gram = flat.conj() @ flat.T
     else:

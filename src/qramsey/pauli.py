@@ -36,6 +36,7 @@ __all__ = [
     "parse",
     "identity",
     "hermitian_rep",
+    "dense_matrix",
 ]
 
 DENSE_QUBIT_LIMIT = 4
@@ -144,6 +145,20 @@ class PauliOperator:
 
     def __repr__(self) -> str:
         return f"PauliOperator({str(self)!r})"
+
+
+@lru_cache(maxsize=4096)
+def dense_matrix(op: PauliOperator) -> np.ndarray:
+    """``op.to_dense()`` as a read-only array, one shared copy per operator.
+
+    The last 4,096 results are kept: more than every operator at n <= 4
+    with each of its four phases.  The dense oracle reads channels'
+    operators here, and ``stabilizer.projector`` only its generators'
+    plus-signed operators, so codes add at most 4^n matrices at each n.
+    """
+    m = op.to_dense()
+    m.flags.writeable = False
+    return m
 
 
 def identity(n: int) -> PauliOperator:

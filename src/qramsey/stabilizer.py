@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import f2
-from .pauli import DENSE_QUBIT_LIMIT, CapacityError, PauliOperator, hermitian_rep, parse
+from .pauli import (
+    DENSE_QUBIT_LIMIT,
+    CapacityError,
+    PauliOperator,
+    dense_matrix,
+    hermitian_rep,
+    parse,
+)
 
 __all__ = [
     "StabilizerGroup",
@@ -177,7 +184,10 @@ def centralizer_image(group: StabilizerGroup) -> f2.F2Basis:
 def projector(group: StabilizerGroup) -> np.ndarray:
     """Dense projector onto the stabilized subspace, (1/2^m) * prod(I + g).
 
-    Entries are exact dyadic rationals; the trace equals 2^k.
+    Entries are exact dyadic rationals; the trace equals 2^k.  Each
+    Hermitian g is +H or -H, with H the plus-signed operator of g's check
+    vector, since their phase exponents differ by 0 or 2.  H's matrix is
+    read from ``pauli.dense_matrix``, so a code's signs add no matrix there.
     """
     if group.n > DENSE_QUBIT_LIMIT:
         raise CapacityError(
@@ -187,7 +197,9 @@ def projector(group: StabilizerGroup) -> np.ndarray:
     eye = np.eye(dim, dtype=complex)
     p = eye.copy()
     for g in group.generators:
-        p = p @ (eye + g.to_dense()) / 2
+        plus = hermitian_rep(g.check_vector(), group.n)
+        h = dense_matrix(plus)
+        p = p @ (eye + h if g.phase == plus.phase else eye - h) / 2
     return p
 
 

@@ -2,9 +2,11 @@
 
 A classify corpus is digested over its classify JSON, one ``sort_keys``
 line per channel in corpus order, each ending in a newline; a search
-corpus over its search JSON and a dimension corpus over its compressed
-dimensions, one line per input in the same form.  ``golden_digests.json``
-holds the digests; ``tests/test_golden.py`` checks the tier-1 corpora and
+corpus over its search JSON, a dimension corpus over its compressed
+dimensions, the verify corpus over ``qramsey verify``'s report documents
+and the maximal corpus over ``dense_maximal_check``'s verdicts, one line
+per input in the same form.  ``golden_digests.json`` holds the digests;
+``tests/test_golden.py`` checks the tier-1 corpora and
 ``deep/test_golden_corpora.py`` the rest.  The seeded generators are in
 ``helpers``.
 """
@@ -14,16 +16,18 @@ import json
 import random
 from pathlib import Path
 
-from qramsey import ramsey, selftest
+from qramsey import cli, oracle, ramsey, selftest
 
 from helpers import (
     dimension_pair,
     isotropic_subset_channel,
     low_weight_channel,
     maximal_channel,
+    maximal_check_case,
     pair_scan_worst_channel,
     random_channel,
     search_case,
+    verify_case,
 )
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -52,6 +56,11 @@ def _random(rng, n):
     return random_channel(rng, n, 2 * n + 4)
 
 
+def verify_cases():
+    # the (channel, code, seed) inputs of the verify corpus
+    return _seeded(37, range(1, 5), 75, verify_case)
+
+
 # classify corpora: name -> channels
 CORPORA = {
     "classify_n2_slice": _n2_slice,
@@ -77,6 +86,12 @@ OUTPUT_CORPORA = {
     "compressed_dimension_n1_6": lambda: [
         ramsey.compressed_dimension(ch, group)
         for ch, group in _seeded(36, range(1, 7), 50, dimension_pair)
+    ],
+    # the verify report, privacy included, and the dense maximal check
+    "verify_n1_4": lambda: [cli._verify_report(*case)[0] for case in verify_cases()],
+    "dense_maximal_check_n1_4": lambda: [
+        oracle.dense_maximal_check(*case)
+        for case in _seeded(38, range(1, 5), 25, maximal_check_case)
     ],
 }
 

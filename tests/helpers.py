@@ -9,8 +9,8 @@ import functools
 import itertools
 import operator
 
-from qramsey import channel, f2, ramsey, selftest
-from qramsey.pauli import parse
+from qramsey import channel, f2, ramsey, selftest, stabilizer
+from qramsey.pauli import PauliOperator, hermitian_rep, parse
 
 
 # the memos on classify's path: its two candidate builders and the
@@ -197,3 +197,55 @@ def pair_scan_worst_channel(n, j):
     meets Z_j, the largest check.
     """
     return vector_channel([*range(1 << n), 1 << (n + j)], n)
+
+
+def _phased(rng, v, n):
+    """The Pauli with check vector v and a random phase exponent."""
+    return PauliOperator(n, rng.randrange(4), v & ((1 << n) - 1), v >> n)
+
+
+def _signs_flipped(rng, group):
+    """The group with each generator's sign flipped with probability 1/2."""
+    gens = [
+        PauliOperator(g.n, (g.phase + 2 * rng.randrange(2)) % 4, g.x, g.z)
+        for g in group.generators
+    ]
+    return stabilizer.validate(gens, n=group.n)
+
+
+def verify_case(rng, n):
+    """A (channel, code, seed) input of ``qramsey verify``.
+
+    1 to 16 distinct noise operators, at most 4^n, each with a random
+    phase, so that their dense matrices are real or imaginary.  Half the
+    time the code is classify's witness, a clique for noncommuting noise,
+    so that privacy is sampled; otherwise, or when classify names none, a
+    random code of 0 to n generators.  Either way each generator's sign is
+    flipped at random.
+    """
+    m = rng.randrange(1, min(16, 4**n) + 1)
+    ch = channel.from_noise(
+        [_phased(rng, v, n) for v in rng.sample(range(4**n), m)], n=n
+    )
+    group = ramsey.classify(ch).witness if rng.random() < 0.5 else None
+    if group is None:
+        group = random_group(rng, n, rng.randrange(n + 1))
+    return ch, _signs_flipped(rng, group), rng.randrange(1 << 31)
+
+
+def maximal_check_case(rng, n):
+    """A maximal channel of phased operators and a maximal code.
+
+    The channel is a random Lagrangian shifted by a random vector.  Half
+    the time the code's generators span that Lagrangian, with random
+    signs; otherwise it is a random maximal code, which rarely does.
+    """
+    rows = random_isotropic_rows(rng, n, n)
+    c = rng.randrange(1 << (2 * n))
+    span = f2.F2Basis(n, tuple(rows)).span()
+    ch = channel.from_noise([_phased(rng, c ^ v, n) for v in span], n=n)
+    if rng.random() < 0.5:
+        group = stabilizer.validate([hermitian_rep(v, n) for v in rows], n=n)
+    else:
+        group = random_group(rng, n, n)
+    return ch, _signs_flipped(rng, group)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qramsey import cli
+from qramsey import cli, ramsey
 
 from golden import (
     CORPORA,
@@ -29,6 +29,7 @@ from golden import (
     OUTPUT_CORPORA,
     classify_digest,
     line_digest,
+    verify_cases,
 )
 
 
@@ -109,6 +110,23 @@ def test_output_digest_is_unchanged(name):
 def test_cli_digest_is_unchanged(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert cli_digest(CLI_CORPORA[name], tmp_path) == expected
+
+
+def test_verify_corpus_covers_its_cases():
+    # the inputs of "verify_n1_4": m up to 16, the k = 0 and full-space
+    # codes, signed and Y-bearing generators, imaginary noise matrices and
+    # cliques with k >= 1, whose reports sample privacy
+    cases = verify_cases()
+    gens = [g for _, group, _ in cases for g in group.generators]
+    assert max(len(ch.operators) for ch, _, _ in cases) == 16
+    assert any(group.k == 0 for _, group, _ in cases)
+    assert any(group.k == group.n for _, group, _ in cases)
+    assert any(str(g).startswith("-") for g in gens)
+    assert any("Y" in str(g) for g in gens)
+    assert any(op.phase & 1 for ch, _, _ in cases for op in ch.operators)
+    assert sum(
+        group.k >= 1 and ramsey.is_clique(ch, group) for ch, group, _ in cases
+    ) >= 50
 
 
 def test_every_corpus_has_a_digest():

@@ -4,13 +4,15 @@ These tests lean on hand-computable dense facts; the oracle must stand on
 its own because the rest of the suite uses it as ground truth.
 """
 
+import ast
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qramsey import channel, cli, oracle, ramsey, stabilizer
-from qramsey.pauli import CapacityError, identity
+from qramsey.pauli import CapacityError, PauliOperator, identity
 
 from helpers import make_channel, random_channel, random_group, vector_channel
 
@@ -301,29 +303,45 @@ def loop_private_witness_check(ch, group, samples, seed):
     return True
 
 
-def random_pairs(seed, count, max_n=4):
+def random_pairs(seed, count, max_n=4, phased=False):
+    """Seeded (channel, code) pairs; ``phased`` gives each noise operator a
+    random phase, so that some dense matrices are imaginary."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randrange(1, max_n + 1)
-        yield random_channel(rng, n, max_ops=8), random_group(rng, n)
+        ch = random_channel(rng, n, max_ops=8)
+        if phased:
+            ch = channel.from_noise(
+                [PauliOperator(n, rng.randrange(4), op.x, op.z) for op in ch.operators]
+            )
+        yield ch, random_group(rng, n)
 
 
 class TestBatchedAgainstLoops:
     def test_quotient_lines_are_exact(self):
-        # line 0 is sqrt(m) E_0^+ E_0, then sqrt(2) E_i^+ E_j for i < j by
-        # j and then i, each exactly the loop's quotient times its weight
+        # line 0 is sqrt(m) R_0^T R_0, then sqrt(2) R_i^T R_j for i < j by
+        # j and then i, with E_i = phi_i R_i; so each line is exactly the
+        # loop's quotient E_i^+ E_j = conj(phi_i) phi_j R_i^T R_j times its
+        # weight and conj(conj(phi_i) phi_j), a product by +-1 or +-i
         sizes = set()
-        for ch, _ in random_pairs(37, 30):
+        phases = set()
+        for ch, _ in random_pairs(37, 30, phased=True):
             m = len(ch.operators)
             sizes.add(m)
             stack = loop_quotient_stack(ch)
+            phi = [1j if op.to_dense().imag.any() else 1 for op in ch.operators]
+            phases.update(phi)
             expected = [np.sqrt(m) * stack[0]] + [
-                np.sqrt(2) * stack[i * m + j] for j in range(m) for i in range(j)
+                np.sqrt(2) * stack[i * m + j] * np.conj(np.conj(phi[i]) * phi[j])
+                for j in range(m)
+                for i in range(j)
             ]
             lines = oracle._quotient_lines(ch)
+            assert lines.dtype == np.float64
             assert lines.shape == (1 + m * (m - 1) // 2, 1 << ch.n, 1 << ch.n)
             assert np.array_equal(lines, expected)
         assert min(sizes) == 1 and max(sizes) >= 6
+        assert phases == {1, 1j}
 
     def test_code_quotients_match_the_loop(self):
         # every V^+ E_i^+ E_j V from the factors E_i V, in (i, j) order
@@ -544,12 +562,20 @@ class TestQuotientLines:
             oracle, "_dense", lambda op: matrix if op.x | op.z else op.to_dense()
         )
 
-    def test_a_quotient_neither_hermitian_nor_anti_hermitian_raises(self, monkeypatch):
-        # S = diag(1, i) is unitary, so S^+ S = I^+ I, but the quotient
-        # I^+ S = S has S^+ = diag(1, -i), which is neither S nor -S
+    def test_an_operator_not_a_phase_times_a_real_matrix_raises(self, monkeypatch):
+        # S = diag(1, i) is unitary, so S^+ S = I^+ I, but S is neither
+        # real nor imaginary
         self.patch_x(monkeypatch, np.diag([1, 1j]))
-        with pytest.raises(RuntimeError, match="neither Hermitian nor anti-Hermitian"):
+        with pytest.raises(RuntimeError, match="not a phase times a real matrix"):
             oracle.dense_graph_dimension(make_channel("I", "X"))
+
+    def test_a_quotient_neither_hermitian_nor_anti_hermitian_raises(self, monkeypatch):
+        # the cyclic shift C of four basis states is real and orthogonal, so
+        # C^T C = I^T I, but the quotient I^T C = C has C^T = C^3, which is
+        # neither C nor -C
+        self.patch_x(monkeypatch, np.roll(np.eye(4), 1, axis=0).astype(complex))
+        with pytest.raises(RuntimeError, match="neither Hermitian nor anti-Hermitian"):
+            oracle.dense_graph_dimension(make_channel("II", "XI"))
 
     def test_unequal_squares_raise(self, monkeypatch):
         self.patch_x(monkeypatch, 2 * make_channel("X").operators[0].to_dense())
@@ -618,3 +644,22 @@ class TestDegenerateRedraw:
         ]
         assert runs == [private, private]
         assert all(len(stub.sizes) == 2 for stub in stubs)
+
+
+class TestIndependence:
+    """The oracle reads no check vector, so that it stays a second route."""
+
+    def test_reads_no_check_vector_and_imports_no_symplectic_module(self):
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rpartition(".")[2])
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        assert not imported & {"f2", "ramsey"}
+        attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        assert not attributes & {"x", "z", "phase", "check_vector"}
+        # the walk sees the attributes the oracle does read
+        assert {"operators", "imag", "real"} <= attributes

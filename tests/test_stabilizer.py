@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qramsey import f2, ramsey, selftest, stabilizer
+from qramsey import f2, pauli, ramsey, selftest, stabilizer
 from qramsey.pauli import CapacityError, PauliOperator, hermitian_rep, parse
 
 import reference
@@ -421,6 +421,48 @@ class TestProjector:
         group = stabilizer.validate([], n=5)
         with pytest.raises(CapacityError):
             stabilizer.projector(group)
+
+    def test_equals_the_product_over_each_generators_own_matrix(self):
+        # the projector reads each g as +-H, H plus-signed; the product is
+        # exactly the one over g.to_dense(), minus signs and Y letters too
+        rng = random.Random(31)
+        gens = []
+        for _ in range(40):
+            n = rng.randrange(1, 5)
+            group = selftest._random_group(rng, n)
+            eye = np.eye(1 << n, dtype=complex)
+            expected = eye
+            for g in group.generators:
+                expected = expected @ (eye + g.to_dense()) / 2
+            assert np.array_equal(stabilizer.projector(group), expected)
+            gens += map(str, group.generators)
+        assert sum(g.startswith("-") for g in gens) >= 10
+        assert sum("Y" in g for g in gens) >= 10
+        assert any(g.startswith("-") and "Y" in g for g in gens)
+
+    def test_memoizes_only_plus_signed_operators(self):
+        # every generator with each sign: the memo then holds one matrix
+        # per check vector, and that is the plus-signed operator's
+        rng = random.Random(37)
+        vectors = set()
+        pauli.dense_matrix.cache_clear()
+        try:
+            for _ in range(20):
+                rows = random_isotropic_rows(rng, 3, rng.randrange(1, 4))
+                for sign in (0, 2):
+                    group = stabilizer.validate(
+                        [PauliOperator(3, (h.phase + sign) % 4, h.x, h.z)
+                         for h in (hermitian_rep(v, 3) for v in rows)]
+                    )
+                    stabilizer.projector(group)
+                    vectors.update(g.check_vector() for g in group.generators)
+            assert pauli.dense_matrix.cache_info().currsize == len(vectors)
+            misses = pauli.dense_matrix.cache_info().misses
+            for v in vectors:
+                pauli.dense_matrix(hermitian_rep(v, 3))
+            assert pauli.dense_matrix.cache_info().misses == misses
+        finally:
+            pauli.dense_matrix.cache_clear()
 
 
 class TestZeroCompression:
